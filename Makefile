@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all verify fmt vet lint portable race chaos cluster-e2e fuzz bench bench-smoke bench-backends bench-kernels benchcheck ci
+.PHONY: all verify fmt vet lint portable race chaos cluster-e2e perfbench-test fuzz bench bench-smoke bench-backends bench-kernels benchcheck ci
 
 all: verify
 
@@ -54,6 +54,14 @@ chaos:
 cluster-e2e:
 	$(GO) test -race -tags failpoint -run 'TestClusterE2E' -v ./cmd/swrouter
 
+# Benchmark module gate: perfbench/ is a separate Go module that
+# ./... never reaches, yet it imports swvec/internal/..., launches
+# swserver and swrouter and parses their log lines. Its teardown tests
+# SIGTERM and SIGKILL the real binaries.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Differential fuzz smoke: every width instantiation of the generic
 # kernel against the scalar baseline, and the lenient FASTA decoder
 # against arbitrary input, for a few seconds each.
@@ -94,4 +102,4 @@ bench-kernels:
 benchcheck:
 	$(GO) run ./scripts/benchcheck -baseline BENCH_baseline.json -current BENCH_ci.json -out BENCHCHECK_ci.json
 
-ci: fmt verify vet lint portable race chaos cluster-e2e fuzz bench-smoke benchcheck
+ci: fmt verify vet lint portable race chaos cluster-e2e perfbench-test fuzz bench-smoke benchcheck

@@ -262,7 +262,7 @@ func TestRouterChaosRequestFault(t *testing.T) {
 	s0 := cannedShard(t, []cluster.Hit{{SeqID: "A", Score: 10}})
 	_, addr := startTestRouter(t, testDB(), []string{s0.Addr()}, testPolicy(), routerConfig{})
 
-	if err := failpoint.Enable("swrouter/request", "error(router glitch):first=1"); err != nil {
+	if err := failpoint.Enable("serve/request", "error(router glitch):first=1"); err != nil {
 		t.Fatal(err)
 	}
 	hurt := queryRouter(t, addr, cluster.Request{ID: "q1", Residues: validQuery, Top: 1})

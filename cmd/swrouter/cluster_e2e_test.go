@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -37,6 +38,29 @@ func buildSwserver(t *testing.T) string {
 		t.Fatalf("building swserver: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// TestSpawnFailsFast: a shard that exits before announcing its address,
+// here on an unknown flag, fails the spawn with its exit status at once
+// rather than after the 30 s default ready timeout.
+func TestSpawnFailsFast(t *testing.T) {
+	bin := buildSwserver(t)
+	start := time.Now()
+	procs, err := cluster.SpawnShards(cluster.SpawnOptions{
+		Bin: bin, Shards: 2, GenDB: 20, ExtraArgs: []string{"-no-such-flag"},
+	})
+	if err == nil {
+		for _, p := range procs {
+			p.Kill()
+		}
+		t.Fatal("spawn with a bogus flag succeeded")
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("spawn failed after %s, want under 5s", el)
+	}
+	if !strings.Contains(err.Error(), "exit status") {
+		t.Fatalf("error %q does not carry the shard's exit status", err)
+	}
 }
 
 // e2eExpectations precomputes, with a single-node aligner, the exact
@@ -135,7 +159,7 @@ func clusterE2ESingle(t *testing.T, bin string) {
 		t.Fatal(err)
 	}
 	r := newRouter(pool, al, ln, routerConfig{}, t.Logf)
-	go r.serve()
+	go r.Serve()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()
@@ -304,7 +328,7 @@ func clusterE2EReplicated(t *testing.T, bin string) {
 		t.Fatal(err)
 	}
 	r := newRouter(pool, al, ln, routerConfig{}, t.Logf)
-	go r.serve()
+	go r.Serve()
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		defer cancel()

@@ -29,13 +29,15 @@
 //
 //	swrouter -connect localhost:7900 -query q.fasta [-top 5]
 //
-// The wire protocol is swserver's newline-delimited JSON, so a plain
-// `swserver -connect` client also works; swrouter's own client mode
-// additionally prints the per-response shard report.
+// The wire protocol is swserver's newline-delimited JSON, and the
+// connection handling, admission limits, shutdown, admin port and
+// client mode are the front end both commands share (internal/serve),
+// so `swserver -connect` and `swrouter -connect` are the same client:
+// it prints the per-response shard report whenever a router's answer
+// was partial, degraded or failed over.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"expvar"
 	"flag"
@@ -43,16 +45,13 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"swvec"
 	"swvec/internal/cluster"
+	"swvec/internal/serve"
 )
 
 func main() {
@@ -114,7 +113,11 @@ func main() {
 			},
 		})
 	case *connect != "":
-		os.Exit(runClient(*connect, *query, *top, *timeout))
+		code, err := serve.RunClient(os.Stdout, *connect, *query, *top, *timeout)
+		if err != nil {
+			fatal("%v", err)
+		}
+		os.Exit(code)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -135,35 +138,14 @@ type routerSetup struct {
 	cfg       routerConfig
 }
 
-// loadDB loads or generates the database the router needs for the
-// global merge index and the shard length profile. It must be the same
-// database the shards serve; with -gen-db both sides regenerate it
-// from the fixed seed, with -db they read the same file.
-func loadDB(dbPath string, genDB int) []swvec.Sequence {
-	if genDB > 0 {
-		return swvec.GenerateDatabase(42, genDB)
-	}
-	if dbPath == "" {
-		fatal("router mode needs -db or -gen-db")
-	}
-	f, err := os.Open(dbPath)
-	if err != nil {
-		fatal("%v", err)
-	}
-	defer f.Close()
-	seqs, rep, err := swvec.DecodeFasta(f, swvec.DecodeOptions{})
-	if err != nil {
-		fatal("%v", err)
-	}
-	if len(rep.Skipped) > 0 {
-		log.Printf("level=warn event=db_skipped records=%d malformed=%d oversized=%d",
-			len(rep.Skipped), rep.Malformed, rep.Oversized)
-	}
-	return seqs
-}
-
 func runRouter(s routerSetup) {
-	db := loadDB(s.dbPath, s.genDB)
+	// The router needs the shards' database for the global merge index
+	// and the shard length profile: with -gen-db both sides regenerate
+	// it from the fixed seed, with -db they read the same file.
+	db, _, err := serve.LoadDB(s.dbPath, s.genDB)
+	if err != nil {
+		fatal("%v", err)
+	}
 	if s.replicas < 1 {
 		fatal("-replicas must be at least 1, got %d", s.replicas)
 	}
@@ -183,7 +165,6 @@ func runRouter(s routerSetup) {
 		if s.shardArgs != "" {
 			opt.ExtraArgs = strings.Fields(s.shardArgs)
 		}
-		var err error
 		procs, err = cluster.SpawnShards(opt)
 		if err != nil {
 			fatal("%v", err)
@@ -233,7 +214,21 @@ func runRouter(s routerSetup) {
 		defer pool.StopProber()
 	}
 	if s.admin != "" {
-		startAdmin(s.admin, pool, profile, log.Printf)
+		// The per-shard and per-replica routing counters and the shard
+		// map join /debug/vars, and /debug/cluster serves the same
+		// snapshot as JSON.
+		pool.Metrics().Publish()
+		expvar.Publish("swvec.cluster.profile", expvar.Func(func() any { return profile }))
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/cluster", func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(pool.Metrics().Snapshot())
+		})
+		if _, err := serve.StartAdmin(s.admin, mux, log.Printf); err != nil {
+			fatal("%v", err)
+		}
 	}
 
 	ln, err := net.Listen("tcp", s.listen)
@@ -243,21 +238,7 @@ func runRouter(s routerSetup) {
 	rt := newRouter(pool, al, ln, s.cfg, log.Printf)
 	log.Printf("level=info event=listen addr=%s shards=%d replicas=%d db_seqs=%d hedge_after=%s retries=%d",
 		ln.Addr(), nshards, s.replicas, len(db), s.pol.HedgeAfter, s.pol.Retries)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		log.Printf("level=info event=shutdown signal=%s", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		rt.Shutdown(ctx)
-	}()
-
-	rt.serve()
-	waitCtx, waitCancel := context.WithTimeout(context.Background(), 35*time.Second)
-	rt.Shutdown(waitCtx)
-	waitCancel()
+	rt.Run()
 	for _, p := range procs {
 		if err := p.Stop(); err != nil {
 			log.Printf("level=warn event=shard_stop shard=%d err=%q", p.Shard, err)
@@ -265,148 +246,6 @@ func runRouter(s routerSetup) {
 	}
 	snap := pool.Metrics().Snapshot()
 	log.Printf("level=info event=exit scatters=%d partial=%d", snap.Scatters, snap.Partial)
-}
-
-// startAdmin serves /debug/vars — including the per-shard and
-// per-replica "swvec.cluster" routing counters and the
-// "swvec.cluster.profile" shard map — plus a /debug/cluster JSON view
-// of the same snapshot and pprof, on the opt-in admin address.
-func startAdmin(addr string, pool *cluster.Pool, profile []cluster.ShardProfile, logf func(string, ...any)) {
-	swvec.PublishMetrics()
-	pool.Metrics().Publish()
-	expvar.Publish("swvec.cluster.profile", expvar.Func(func() any { return profile }))
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/cluster", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(pool.Metrics().Snapshot())
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		logf("level=info event=admin_listen addr=%s", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			logf("level=error event=admin_error err=%q", err)
-		}
-	}()
-}
-
-// runClient submits every query record and prints one line per hit,
-// plus the shard report whenever a response was partial or degraded.
-// The exit code is 1 if any request failed or came back partial.
-func runClient(addr, queryPath string, top int, timeout time.Duration) int {
-	if queryPath == "" {
-		fatal("client mode needs -query")
-	}
-	f, err := os.Open(queryPath)
-	if err != nil {
-		fatal("%v", err)
-	}
-	queries, rerr := swvec.ReadFasta(f)
-	f.Close()
-	if rerr != nil {
-		fatal("%v", rerr)
-	}
-
-	var conn net.Conn
-	if timeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, timeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
-	if err != nil {
-		fatal("connect: %v", err)
-	}
-	defer conn.Close()
-
-	enc := json.NewEncoder(conn)
-	sent := 0
-	results := make(map[string]routerResponse, len(queries))
-	for i := range queries {
-		if timeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		req := cluster.Request{ID: queries[i].ID, Residues: string(queries[i].Residues), Top: top}
-		if err := enc.Encode(req); err != nil {
-			results[req.ID] = routerResponse{Response: cluster.Response{ID: req.ID, Error: fmt.Sprintf("send: %v", err)}}
-			continue
-		}
-		sent++
-	}
-	dec := json.NewDecoder(conn)
-	for i := 0; i < sent; i++ {
-		if timeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(timeout))
-		}
-		var resp routerResponse
-		if err := dec.Decode(&resp); err != nil {
-			for _, q := range queries {
-				if _, done := results[q.ID]; !done {
-					results[q.ID] = routerResponse{Response: cluster.Response{ID: q.ID, Error: fmt.Sprintf("recv: %v", err)}}
-				}
-			}
-			break
-		}
-		results[resp.ID] = resp
-	}
-
-	exit := 0
-	for i := range queries {
-		resp, ok := results[queries[i].ID]
-		if !ok {
-			resp = routerResponse{Response: cluster.Response{ID: queries[i].ID, Error: "no response received"}}
-		}
-		if resp.Error != "" {
-			exit = 1
-			fmt.Printf("%s: error: %s\n", resp.ID, resp.Error)
-			continue
-		}
-		fmt.Printf("%s:%s\n", resp.ID, partialNote(resp))
-		for rank, h := range resp.Hits {
-			fmt.Printf("  %2d. score %5d  %s\n", rank+1, h.Score, h.SeqID)
-		}
-		printAttempts(resp)
-		if resp.Partial {
-			exit = 1
-		}
-	}
-	return exit
-}
-
-// printAttempts renders the per-replica attempt causes of shards that
-// did not answer from their primary on the first try.
-func printAttempts(resp routerResponse) {
-	if resp.Shards == nil || len(resp.Shards.Attempts) == 0 {
-		return
-	}
-	shards := make([]string, 0, len(resp.Shards.Attempts))
-	for s := range resp.Shards.Attempts {
-		shards = append(shards, s)
-	}
-	sort.Strings(shards)
-	for _, s := range shards {
-		for _, a := range resp.Shards.Attempts[s] {
-			fmt.Printf("  shard %s replica %d (%s): %s\n", s, a.Replica, a.Addr, a.Cause)
-		}
-	}
-}
-
-func partialNote(resp routerResponse) string {
-	if resp.Shards == nil {
-		return ""
-	}
-	if resp.Partial {
-		return fmt.Sprintf(" (PARTIAL: shards %v missing)", resp.Shards.Skipped)
-	}
-	if len(resp.Shards.Degraded) > 0 {
-		return fmt.Sprintf(" (degraded shards %v)", resp.Shards.Degraded)
-	}
-	return ""
 }
 
 func fatal(format string, args ...any) {

@@ -1,32 +1,21 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"swvec"
 	"swvec/internal/cluster"
-	"swvec/internal/failpoint"
 	"swvec/internal/metrics"
+	"swvec/internal/serve"
 )
 
 // routerResponse is the shard-aware superset of the swserver wire
 // response: the same id/hits/error fields (so a plain swserver client
 // can talk to a router and never notice), plus the partial-result
-// contract — which shards answered, which were degraded, which were
-// skipped, and whether the merged hits therefore cover the whole
-// database.
-type routerResponse struct {
-	cluster.Response
-	Shards  *cluster.ShardReport `json:"shards,omitempty"`
-	Partial bool                 `json:"partial"`
-}
+// contract.
+type routerResponse = serve.Response
 
 // routerConfig bundles the router's serving knobs.
 type routerConfig struct {
@@ -38,258 +27,67 @@ type routerConfig struct {
 	defaultTop  int
 }
 
-func (c routerConfig) withDefaults() routerConfig {
-	if c.maxConns < 1 {
-		c.maxConns = 256
-	}
-	if c.maxInflight < 1 {
-		c.maxInflight = 64
-	}
-	if c.maxBody <= 0 {
-		c.maxBody = 8 << 20
-	}
-	if c.defaultTop <= 0 {
-		c.defaultTop = 5
-	}
-	return c
-}
-
-// router accepts client connections and serves each request by
-// scattering it across the shard pool and merging the gathered top-K.
-// Unlike swserver there is no batching window: a scatter is already a
-// fan-out of the whole cluster, so requests leave as soon as they
-// arrive, bounded by the in-flight semaphore.
+// router is the front end's backend that serves each admitted request
+// by scattering it across the shard pool and merging the gathered
+// top-K. Unlike swserver there is no batching window: a scatter is
+// already a fan-out of the whole cluster, so requests leave as soon as
+// they arrive, bounded by the in-flight semaphore. Its drain cancels
+// the in-flight scatters.
 type router struct {
-	pool *cluster.Pool
-	// al exists only for admission-time query validation; the router
-	// never aligns anything itself.
-	al  *swvec.Aligner
-	cfg routerConfig
-	ln  net.Listener
-
-	ctx    context.Context // canceled when Shutdown begins
-	cancel context.CancelFunc
-	closed chan struct{}
-	sem    chan struct{} // bounds concurrent scatters
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-
-	connWG       sync.WaitGroup
-	shutdownOnce sync.Once
-	logf         func(format string, args ...any)
+	pool       *cluster.Pool
+	sem        chan struct{} // bounds concurrent scatters
+	defaultTop int
+	ctx        context.Context // canceled by Drain
+	cancel     context.CancelFunc
+	logf       func(format string, args ...any)
 }
 
-func newRouter(pool *cluster.Pool, al *swvec.Aligner, ln net.Listener, cfg routerConfig, logf func(string, ...any)) *router {
-	cfg = cfg.withDefaults()
+// newRouter fronts pool with the shared front end on ln. al exists only
+// for admission-time query validation; the router never aligns
+// anything itself.
+func newRouter(pool *cluster.Pool, al *swvec.Aligner, ln net.Listener, cfg routerConfig, logf func(string, ...any)) *serve.Server {
+	if cfg.maxConns < 1 {
+		cfg.maxConns = 256
+	}
+	if cfg.maxInflight < 1 {
+		cfg.maxInflight = 64
+	}
+	if cfg.defaultTop <= 0 {
+		cfg.defaultTop = 5
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &router{
-		pool:   pool,
-		al:     al,
-		cfg:    cfg,
-		ln:     ln,
-		ctx:    ctx,
-		cancel: cancel,
-		closed: make(chan struct{}),
-		sem:    make(chan struct{}, cfg.maxInflight),
-		conns:  map[net.Conn]struct{}{},
-		logf:   logf,
-	}
-}
-
-// serve accepts connections until Shutdown closes the listener.
-func (r *router) serve() {
-	sem := make(chan struct{}, r.cfg.maxConns)
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			select {
-			case <-r.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			r.logf("level=warn event=accept_error err=%q", err)
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-r.closed:
-			conn.Close()
-			return
-		}
-		r.track(conn, true)
-		r.connWG.Add(1)
-		go func() {
-			defer func() {
-				r.track(conn, false)
-				r.connWG.Done()
-				<-sem
-			}()
-			r.serveConn(conn)
-		}()
-	}
-}
-
-func (r *router) track(conn net.Conn, add bool) {
-	r.mu.Lock()
-	if add {
-		r.conns[conn] = struct{}{}
-	} else {
-		delete(r.conns, conn)
-	}
-	r.mu.Unlock()
-}
-
-func (r *router) isShutdown() bool {
-	select {
-	case <-r.closed:
-		return true
-	default:
-		return false
-	}
-}
-
-// expireReads sets every live connection's read deadline to now so
-// blocked scanners return; Shutdown re-applies it periodically, same
-// as swserver.
-func (r *router) expireReads() {
-	now := time.Now()
-	r.mu.Lock()
-	for c := range r.conns {
-		c.SetReadDeadline(now)
-	}
-	r.mu.Unlock()
-}
-
-// Shutdown stops accepting, cancels in-flight scatters, and waits for
-// every connection handler (and therefore every reply writer) to
-// retire. ctx bounds the wait. Idempotent.
-func (r *router) Shutdown(ctx context.Context) {
-	r.shutdownOnce.Do(func() {
-		close(r.closed)
-		r.ln.Close()
-		r.cancel()
-
-		done := make(chan struct{})
-		go func() {
-			r.connWG.Wait()
-			close(done)
-		}()
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		r.expireReads()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				r.expireReads()
-			case <-ctx.Done():
-				return
-			}
-		}
+	r := &router{pool: pool, sem: make(chan struct{}, cfg.maxInflight), defaultTop: cfg.defaultTop, ctx: ctx, cancel: cancel, logf: logf}
+	return serve.New(ln, r, serve.Config{
+		MaxConns: cfg.maxConns, Idle: cfg.idle, MaxSeq: cfg.maxSeq, MaxBody: cfg.maxBody,
+		Validate: al.ValidateSequence, Logf: logf,
 	})
 }
 
-// serveConn reads newline-delimited JSON requests and answers each by
-// scattering it across the cluster. Scatters for one connection run
-// concurrently (bounded by the router-wide semaphore); replies are
-// written under a per-connection lock and matched by request ID, which
-// is exactly the contract the swserver client already implements.
-func (r *router) serveConn(conn net.Conn) {
-	defer conn.Close()
-	initial := 64 << 10
-	if initial > r.cfg.maxBody {
-		initial = r.cfg.maxBody
+// Admit fills in the default top and takes an in-flight slot. At the
+// cap it sheds at once instead of queueing the connection behind a
+// saturated cluster.
+func (r *router) Admit(req *cluster.Request, closing <-chan struct{}) (func() any, *cluster.Response) {
+	if req.Top <= 0 {
+		req.Top = r.defaultTop
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, initial), r.cfg.maxBody)
-	enc := json.NewEncoder(conn)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	respond := func(resp routerResponse) {
-		mu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		enc.Encode(resp)
-		mu.Unlock()
+	select {
+	case r.sem <- struct{}{}:
+	case <-closing:
+		return nil, &cluster.Response{Error: "router shutting down", Code: cluster.CodeShutdown}
+	default:
+		metrics.Global.Shed.Add(1)
+		r.logf("level=warn event=shed inflight=%d", len(r.sem))
+		return nil, &cluster.Response{Error: "router overloaded: too many in-flight queries", Code: cluster.CodeOverloaded}
 	}
-	fail := func(id, code, format string, args ...any) {
-		respond(routerResponse{Response: cluster.Response{
-			ID: id, Error: fmt.Sprintf(format, args...), Code: code,
-		}})
-	}
-	for !r.isShutdown() {
-		if r.cfg.idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(r.cfg.idle))
-		}
-		if !sc.Scan() {
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				metrics.Global.Oversized.Add(1)
-				fail("", cluster.CodeTooLarge, "request exceeds %d-byte line limit", r.cfg.maxBody)
-			}
-			break
-		}
-		var req cluster.Request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			fail("", cluster.CodeBadRequest, "bad request: %v", err)
-			continue
-		}
-		if req.Type == cluster.TypePing {
-			// Liveness ping, answered before any admission gate — the
-			// router is pingable by the same contract as its shards, so
-			// a prober (or load balancer) in front of a router tier
-			// needs no special casing.
-			respond(routerResponse{Response: cluster.Response{ID: req.ID}})
-			continue
-		}
-		if req.Type != cluster.TypeSearch {
-			fail(req.ID, cluster.CodeBadRequest, "unknown request type %q", req.Type)
-			continue
-		}
-		if err := failpoint.Inject("swrouter/request"); err != nil {
-			fail(req.ID, cluster.CodeInternal, "%v", err)
-			continue
-		}
-		if r.cfg.maxSeq > 0 && len(req.Residues) > r.cfg.maxSeq {
-			metrics.Global.Oversized.Add(1)
-			fail(req.ID, cluster.CodeTooLarge, "query has %d residues, limit is %d", len(req.Residues), r.cfg.maxSeq)
-			continue
-		}
-		if err := r.al.ValidateSequence([]byte(req.Residues)); err != nil {
-			// Reject at admission: a query no shard can serve should
-			// not burn a cluster-wide scatter.
-			metrics.Global.Malformed.Add(1)
-			fail(req.ID, cluster.CodeBadRequest, "%v", err)
-			continue
-		}
-		if req.Top <= 0 {
-			req.Top = r.cfg.defaultTop
-		}
-		select {
-		case r.sem <- struct{}{}:
-		case <-r.closed:
-			fail(req.ID, cluster.CodeShutdown, "router shutting down")
-			continue
-		default:
-			// In-flight scatters are at the cap: shed now instead of
-			// queueing the connection behind a saturated cluster.
-			metrics.Global.Shed.Add(1)
-			r.logf("level=warn event=shed inflight=%d", len(r.sem))
-			fail(req.ID, cluster.CodeOverloaded, "router overloaded: too many in-flight queries")
-			continue
-		}
-		wg.Add(1)
-		go func(req cluster.Request) {
-			defer wg.Done()
-			defer func() { <-r.sem }()
-			respond(r.handle(req))
-		}(req)
-	}
-	wg.Wait()
+	q := *req
+	return func() any {
+		defer func() { <-r.sem }()
+		return r.handle(q)
+	}, nil
 }
+
+// Drain cancels the in-flight scatters.
+func (r *router) Drain(context.Context) { r.cancel() }
 
 // handle runs one scatter-gather and shapes the wire response,
 // including the partial-result contract.

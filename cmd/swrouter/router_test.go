@@ -163,7 +163,7 @@ func startTestRouter(t *testing.T, db []swvec.Sequence, addrs []string, pol clus
 		t.Fatal(err)
 	}
 	r := newRouter(pool, al, ln, cfg, t.Logf)
-	go r.serve()
+	go r.Serve()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -186,7 +186,7 @@ func startTestRouterGroups(t *testing.T, db []swvec.Sequence, groups [][]string,
 		t.Fatal(err)
 	}
 	r := newRouter(pool, al, ln, cfg, t.Logf)
-	go r.serve()
+	go r.Serve()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -598,5 +598,109 @@ func TestRouterAdmissionControl(t *testing.T) {
 	}
 	if got := pool.Metrics().Scatters.Load(); got != 0 {
 		t.Fatalf("rejected queries still scattered %d times", got)
+	}
+}
+
+// TestRouterGracefulShutdown shuts the router down with a scatter in
+// flight to a shard that stalls far longer than the test waits. The
+// in-flight request must get a reply rather than hang, a request sent
+// during shutdown gets shutting_down or a closed connection, Shutdown
+// returns long before the stall ends, the listener refuses new
+// connections, and nothing leaks.
+func TestRouterGracefulShutdown(t *testing.T) {
+	leakcheck.Check(t)
+	const stall = 10 * time.Second
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	slow := startStubShard(t, func(req cluster.Request, _ int64) (cluster.Response, bool) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-time.After(stall):
+		case <-release:
+		}
+		return cluster.Response{Hits: []cluster.Hit{{SeqID: "A", Score: 10}}}, true
+	})
+	t.Cleanup(func() { close(release) })
+	al, err := swvec.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := testPolicy()
+	pol.Timeout = 2 * stall // only the shutdown can end the scatter early
+	pool := cluster.NewPool([]string{slow.Addr()}, cluster.NewIndex(testDB()), pol)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	r := newRouter(pool, al, ln, routerConfig{}, t.Logf)
+	go r.Serve()
+
+	inflight, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inflight.Close()
+	if err := json.NewEncoder(inflight).Encode(cluster.Request{ID: "inflight", Residues: validQuery, Top: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("scatter never reached the stub shard")
+	}
+	late, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		r.Shutdown(ctx)
+	}()
+	for {
+		c, err := net.DialTimeout("tcp", addr, time.Second)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("listener still accepting after shutdown began")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // let the read expiry reach late's reader
+
+	late.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := json.NewEncoder(late).Encode(cluster.Request{ID: "late", Residues: validQuery, Top: 1}); err == nil {
+		var resp routerResponse
+		if err := json.NewDecoder(late).Decode(&resp); err == nil && resp.Code != cluster.CodeShutdown {
+			t.Fatalf("request during shutdown got %+v, want %q or a closed connection", resp.Response, cluster.CodeShutdown)
+		}
+	}
+
+	inflight.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var resp routerResponse
+	if err := json.NewDecoder(inflight).Decode(&resp); err != nil {
+		t.Fatalf("in-flight request got no reply: %v", err)
+	}
+	if resp.ID != "inflight" || resp.Code != cluster.CodeUnavailable {
+		t.Fatalf("in-flight reply = %+v, want the canceled scatter's unavailable error", resp.Response)
+	}
+	select {
+	case <-done:
+	case <-time.After(stall / 2):
+		t.Fatal("Shutdown waited on the stalled shard")
+	}
+	if el := time.Since(start); el >= stall/2 {
+		t.Fatalf("Shutdown took %s, want well under the %s stall", el, stall)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"swvec"
 	"swvec/internal/failpoint"
+	"swvec/internal/serve"
 )
 
 // TestServerBreakerTripsAndRecovers drives the full breaker lifecycle
@@ -19,9 +20,8 @@ import (
 func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	defer failpoint.DisableAll()
 	db := swvec.GenerateDatabase(55, 16)
-	_, addr := startServerWithConfig(t, db, serverConfig{
+	_, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute}, serverConfig{
 		batchSize: 1, window: time.Millisecond, reqTimeout: 30 * time.Second,
-		maxConns: 4, idle: time.Minute,
 		breakFails: 2, breakCooldown: 300 * time.Millisecond,
 	})
 	if err := failpoint.Enable("swserver/search", "error(compute down):first=2"); err != nil {
@@ -72,11 +72,9 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 func TestServerRequestFaultIsIsolated(t *testing.T) {
 	defer failpoint.DisableAll()
 	db := swvec.GenerateDatabase(56, 8)
-	_, addr := startServerWithConfig(t, db, serverConfig{
-		batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second,
-		maxConns: 4, idle: time.Minute,
-	})
-	if err := failpoint.Enable("swserver/request", "error(request glitch):first=1"); err != nil {
+	_, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
+		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
+	if err := failpoint.Enable("serve/request", "error(request glitch):first=1"); err != nil {
 		t.Fatal(err)
 	}
 	c := dialTest(t, addr)

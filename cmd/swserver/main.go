@@ -5,21 +5,16 @@
 // Accumulating queries before computing is the efficiency lever the
 // paper highlights for this scenario.
 //
-// The server is hardened for unattended operation: per-request compute
-// deadlines, a max-connections semaphore, idle-connection timeouts,
-// graceful shutdown on SIGINT/SIGTERM that flushes the pending
-// accumulation window, structured per-batch log lines, and an opt-in
-// admin port serving /debug/vars (including the swvec.search pipeline
-// counters) and pprof.
-//
-// It also protects itself against overload and a failing compute layer
-// (DESIGN.md §12): requests beyond the body or sequence size limits are
-// refused with structured errors, a full queue sheds new requests
+// The connection handling, admission limits, graceful shutdown, admin
+// port and client mode are the front end it shares with swrouter
+// (internal/serve, DESIGN.md §12). Behind it, this command adds the
+// compute-side protections: a full queue sheds new requests
 // immediately (429-style) instead of stalling the connection, repeated
 // batch failures trip a circuit breaker that fast-rejects until a
-// cooldown probe succeeds, and sustained queue pressure switches
-// batches to a reduced-capacity degraded aligner. Every protective
-// action is counted in the swvec.search expvar counters.
+// cooldown probe succeeds, sustained queue pressure switches batches
+// to a reduced-capacity degraded aligner, and shutdown flushes the
+// pending accumulation window. Every protective action is counted in
+// the swvec.search expvar counters.
 //
 // Server:  swserver -listen :7979 -db db.fasta [-batch 8] [-window 50ms]
 //
@@ -33,29 +28,21 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime"
 	"sort"
-	"sync"
-	"syscall"
 	"time"
 
 	"swvec"
 	"swvec/internal/cluster"
 	"swvec/internal/failpoint"
 	"swvec/internal/metrics"
+	"swvec/internal/serve"
 )
 
 // The wire types and error codes are the cluster protocol
@@ -117,14 +104,11 @@ func main() {
 
 	switch {
 	case *listen != "":
-		runServer(*listen, *dbPath, *genDB, *threads, *admin, *shardIdx, *shardCount, serverConfig{
+		front := serve.Config{MaxConns: *maxConns, Idle: *idle, MaxSeq: *maxSeq, MaxBody: *maxBody}
+		runServer(*listen, *dbPath, *genDB, *admin, *shardIdx, *shardCount, front, serverConfig{
 			batchSize:     *batch,
 			window:        *window,
 			reqTimeout:    *reqTimeout,
-			maxConns:      *maxConns,
-			idle:          *idle,
-			maxSeq:        *maxSeq,
-			maxBody:       *maxBody,
 			breakFails:    *brkFails,
 			breakCooldown: *brkCool,
 			threads:       *threads,
@@ -132,7 +116,11 @@ func main() {
 			kernel:        kernel,
 		})
 	case *connect != "":
-		os.Exit(runClient(*connect, *query, *top, *timeout))
+		code, err := serve.RunClient(os.Stdout, *connect, *query, *top, *timeout)
+		if err != nil {
+			fatal("%v", err)
+		}
+		os.Exit(code)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -145,15 +133,11 @@ type pending struct {
 	reply chan response
 }
 
-// serverConfig bundles the hardening knobs.
+// serverConfig bundles the compute-side knobs.
 type serverConfig struct {
 	batchSize     int
 	window        time.Duration
 	reqTimeout    time.Duration // per-batch compute deadline, 0 = none
-	maxConns      int
-	idle          time.Duration // per-connection read deadline, 0 = none
-	maxSeq        int           // max residues per query, 0 = none
-	maxBody       int           // max request line bytes, 0 = default
 	breakFails    int           // breaker threshold, 0 = default
 	breakCooldown time.Duration // breaker cooldown, 0 = default
 	threads       int           // worker threads, informs the degraded aligner
@@ -161,12 +145,11 @@ type serverConfig struct {
 	kernel        swvec.Kernel  // kernel family for both aligners
 }
 
-// server accumulates client queries into batches and aligns them. Its
-// shutdown protocol is: close the listener, expire every connection's
-// read deadline so scanners stop accepting new requests, wait for the
-// readers to retire, then close the queue — the batcher drains
-// whatever the accumulation window was holding (the flush), replies
-// flow back, and the connection writers finish.
+// server is the front end's backend that accumulates admitted queries
+// into batches and aligns them. Its drain closes the queue once no
+// reader can enqueue any more: the batcher then processes whatever the
+// accumulation window was holding (the flush), and the replies flow
+// back to the waiting reply goroutines.
 type server struct {
 	al *swvec.Aligner
 	// alDeg is the reduced-capacity aligner batches fall back to under
@@ -179,29 +162,14 @@ type server struct {
 	cfg   serverConfig
 
 	queue       chan pending
-	ln          net.Listener
-	closed      chan struct{} // closed when Shutdown begins
 	batcherDone chan struct{}
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-
-	readWG sync.WaitGroup // connection read loops (may still enqueue)
-	connWG sync.WaitGroup // whole connection handlers (incl. replies)
-
-	shutdownOnce sync.Once
-	logf         func(format string, args ...any)
+	logf        func(format string, args ...any)
 }
 
-func newServer(al *swvec.Aligner, db []swvec.Sequence, ln net.Listener, cfg serverConfig) *server {
+// newServer builds the backend; the caller starts its batcher.
+func newServer(al *swvec.Aligner, db []swvec.Sequence, cfg serverConfig) *server {
 	if cfg.batchSize < 1 {
 		cfg.batchSize = 1
-	}
-	if cfg.maxConns < 1 {
-		cfg.maxConns = 1
-	}
-	if cfg.maxBody <= 0 {
-		cfg.maxBody = 8 << 20
 	}
 	if cfg.breakFails <= 0 {
 		cfg.breakFails = 3
@@ -218,13 +186,50 @@ func newServer(al *swvec.Aligner, db []swvec.Sequence, ln net.Listener, cfg serv
 		alDeg:       alDeg,
 		brk:         cluster.NewBreaker(cfg.breakFails, cfg.breakCooldown),
 		db:          db,
-		ln:          ln,
 		cfg:         cfg,
 		queue:       make(chan pending, 4*cfg.batchSize),
-		closed:      make(chan struct{}),
 		batcherDone: make(chan struct{}),
-		conns:       map[net.Conn]struct{}{},
 		logf:        log.Printf,
+	}
+}
+
+// frontEnd starts the batcher and returns the shared front end over it
+// on ln, validating residues with the primary aligner.
+func (s *server) frontEnd(ln net.Listener, front serve.Config) *serve.Server {
+	front.Validate = s.al.ValidateSequence
+	go s.batcher()
+	return serve.New(ln, s, front)
+}
+
+// Admit is the compute-side admission: an open circuit breaker
+// fast-rejects, and a full queue sheds the request at once rather than
+// block the read loop behind compute that is already saturated. An
+// admitted request's reply goroutine waits for its batch.
+func (s *server) Admit(req *request, closing <-chan struct{}) (func() any, *response) {
+	if s.brk.Rejecting() {
+		metrics.Global.BreakerRejected.Add(1)
+		return nil, &response{Error: "service unavailable: circuit breaker open", Code: codeUnavailable}
+	}
+	reply := make(chan response, 1)
+	select {
+	case s.queue <- pending{req: *req, reply: reply}:
+		return func() any { return <-reply }, nil
+	case <-closing:
+		return nil, &response{Error: "server shutting down", Code: codeShutdown}
+	default:
+		metrics.Global.Shed.Add(1)
+		s.logf("level=warn event=shed queue_len=%d", len(s.queue))
+		return nil, &response{Error: "server overloaded: request queue full", Code: codeOverloaded}
+	}
+}
+
+// Drain closes the queue, which makes the batcher process whatever the
+// window was still accumulating and exit: the flush.
+func (s *server) Drain(ctx context.Context) {
+	close(s.queue)
+	select {
+	case <-s.batcherDone:
+	case <-ctx.Done():
 	}
 }
 
@@ -253,130 +258,6 @@ func newDegradedAligner(threads int, backend swvec.Backend, kernel swvec.Kernel)
 		return nil
 	}
 	return al
-}
-
-// serve accepts connections on the server's listener until Shutdown
-// closes it. The max-conns semaphore applies backpressure: when full,
-// accepted connections wait before being served.
-func (s *server) serve() {
-	ln := s.ln
-	go s.batcher()
-	sem := make(chan struct{}, s.cfg.maxConns)
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			s.logf("level=warn event=accept_error err=%q", err)
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-s.closed:
-			conn.Close()
-			return
-		}
-		s.track(conn, true)
-		s.readWG.Add(1)
-		s.connWG.Add(1)
-		go func() {
-			defer func() {
-				s.track(conn, false)
-				s.connWG.Done()
-				<-sem
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *server) track(conn net.Conn, add bool) {
-	s.mu.Lock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
-		delete(s.conns, conn)
-	}
-	s.mu.Unlock()
-}
-
-func (s *server) isShutdown() bool {
-	select {
-	case <-s.closed:
-		return true
-	default:
-		return false
-	}
-}
-
-// expireReads sets every live connection's read deadline to now so
-// blocked scanners return. Shutdown re-applies it periodically to
-// close the race with a handler that extended its idle deadline
-// between the flag check and the first expiry.
-func (s *server) expireReads() {
-	now := time.Now()
-	s.mu.Lock()
-	for c := range s.conns {
-		c.SetReadDeadline(now)
-	}
-	s.mu.Unlock()
-}
-
-// Shutdown runs the graceful stop: no new connections, no new
-// requests, flush the pending accumulation window, deliver every
-// reply. ctx bounds the wait; on expiry the remaining work is
-// abandoned. Idempotent.
-func (s *server) Shutdown(ctx context.Context) {
-	s.shutdownOnce.Do(func() {
-		close(s.closed)
-		s.ln.Close()
-
-		readsDone := make(chan struct{})
-		go func() {
-			s.readWG.Wait()
-			close(readsDone)
-		}()
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		s.expireReads()
-	waitReads:
-		for {
-			select {
-			case <-readsDone:
-				break waitReads
-			case <-tick.C:
-				s.expireReads()
-			case <-ctx.Done():
-				return
-			}
-		}
-
-		// No reader can enqueue anymore: closing the queue makes the
-		// batcher process whatever the window was still accumulating
-		// and exit — the flush.
-		close(s.queue)
-		select {
-		case <-s.batcherDone:
-		case <-ctx.Done():
-			return
-		}
-
-		handlersDone := make(chan struct{})
-		go func() {
-			s.connWG.Wait()
-			close(handlersDone)
-		}()
-		select {
-		case <-handlersDone:
-		case <-ctx.Done():
-		}
-	})
 }
 
 // batcher accumulates requests and runs the multi-query engine once
@@ -491,164 +372,14 @@ func searchBatch(ctx context.Context, al *swvec.Aligner, queries [][]byte, db []
 	return al.SearchAllContext(ctx, queries, db)
 }
 
-// serveConn reads newline-delimited JSON requests until the client
-// disconnects, the idle deadline expires, or shutdown expires the read
-// deadline, then waits for every outstanding reply before closing.
-// Admission control happens here, before a request can occupy a queue
-// slot: oversized or invalid requests are refused with structured
-// errors, an open circuit breaker fast-rejects, and a full queue sheds
-// the request immediately instead of stalling the connection.
-func (s *server) serveConn(conn net.Conn) {
-	defer conn.Close()
-	initial := 64 << 10
-	if initial > s.cfg.maxBody {
-		initial = s.cfg.maxBody
+func runServer(addr, dbPath string, genDB int, admin string, shardIdx, shardCount int, front serve.Config, cfg serverConfig) {
+	db, rep, err := serve.LoadDB(dbPath, genDB)
+	if err != nil {
+		fatal("%v", err)
 	}
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, initial), s.cfg.maxBody)
-	enc := json.NewEncoder(conn)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	respond := func(resp response) {
-		mu.Lock()
-		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		enc.Encode(resp)
-		mu.Unlock()
-	}
-	readsDone := false
-	for {
-		if s.isShutdown() {
-			break
-		} else if s.cfg.idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.idle))
-		}
-		if !sc.Scan() {
-			if errors.Is(sc.Err(), bufio.ErrTooLong) {
-				// The scanner cannot resynchronize mid-line, so report
-				// the limit and drop the connection.
-				metrics.Global.Oversized.Add(1)
-				respond(response{Error: fmt.Sprintf("request exceeds %d-byte line limit", s.cfg.maxBody), Code: codeTooLarge})
-			}
-			break
-		}
-		var req request
-		if err := json.Unmarshal(sc.Bytes(), &req); err != nil {
-			respond(response{Error: fmt.Sprintf("bad request: %v", err), Code: codeBadRequest})
-			continue
-		}
-		if req.Type == cluster.TypePing {
-			// Liveness ping: echo the ID before any admission gate —
-			// no validation, no breaker, no queue slot — so the health
-			// prober measures "is this process up and accepting", not
-			// how deep its compute queue runs. The write deadline in
-			// respond bounds the reply like every other response.
-			respond(response{ID: req.ID})
-			continue
-		}
-		if req.Type != cluster.TypeSearch {
-			respond(response{ID: req.ID, Error: fmt.Sprintf("unknown request type %q", req.Type), Code: codeBadRequest})
-			continue
-		}
-		if err := failpoint.Inject("swserver/request"); err != nil {
-			respond(response{ID: req.ID, Error: err.Error(), Code: codeInternal})
-			continue
-		}
-		if s.cfg.maxSeq > 0 && len(req.Residues) > s.cfg.maxSeq {
-			metrics.Global.Oversized.Add(1)
-			respond(response{ID: req.ID, Error: fmt.Sprintf("query has %d residues, limit is %d", len(req.Residues), s.cfg.maxSeq), Code: codeTooLarge})
-			continue
-		}
-		if err := s.al.ValidateSequence([]byte(req.Residues)); err != nil {
-			// Reject at admission so one bad query cannot poison the
-			// batch it would have joined.
-			metrics.Global.Malformed.Add(1)
-			respond(response{ID: req.ID, Error: err.Error(), Code: codeBadRequest})
-			continue
-		}
-		if s.brk.Rejecting() {
-			metrics.Global.BreakerRejected.Add(1)
-			respond(response{ID: req.ID, Error: "service unavailable: circuit breaker open", Code: codeUnavailable})
-			continue
-		}
-		reply := make(chan response, 1)
-		select {
-		case s.queue <- pending{req: req, reply: reply}:
-		case <-s.closed:
-			// Shutdown already began; the queue may close at any
-			// moment, so refuse instead of racing the close.
-			respond(response{ID: req.ID, Error: "server shutting down", Code: codeShutdown})
-			s.readWG.Done()
-			readsDone = true
-		default:
-			// Queue full: shed now rather than block the read loop
-			// behind compute that is already saturated.
-			metrics.Global.Shed.Add(1)
-			s.logf("level=warn event=shed queue_len=%d", len(s.queue))
-			respond(response{ID: req.ID, Error: "server overloaded: request queue full", Code: codeOverloaded})
-			continue
-		}
-		if readsDone {
-			break
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp := <-reply
-			mu.Lock()
-			conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			enc.Encode(resp)
-			mu.Unlock()
-		}()
-	}
-	if !readsDone {
-		s.readWG.Done()
-	}
-	wg.Wait()
-}
-
-// startAdmin serves /debug/vars (expvar, including the swvec.search
-// pipeline counters) and pprof on the opt-in admin address.
-func startAdmin(addr string, logf func(string, ...any)) {
-	swvec.PublishMetrics()
-	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		logf("level=info event=admin_listen addr=%s", addr)
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			logf("level=error event=admin_error err=%q", err)
-		}
-	}()
-}
-
-func runServer(addr, dbPath string, genDB, threads int, admin string, shardIdx, shardCount int, cfg serverConfig) {
-	var db []swvec.Sequence
-	if genDB > 0 {
-		db = swvec.GenerateDatabase(42, genDB)
-	} else {
-		if dbPath == "" {
-			fatal("server mode needs -db or -gen-db")
-		}
-		f, err := os.Open(dbPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		seqs, rep, rerr := swvec.DecodeFasta(f, swvec.DecodeOptions{})
-		f.Close()
-		if rerr != nil {
-			fatal("%v", rerr)
-		}
-		if len(rep.Skipped) > 0 {
-			metrics.Global.Malformed.Add(int64(rep.Malformed))
-			metrics.Global.Oversized.Add(int64(rep.Oversized))
-			log.Printf("level=warn event=db_skipped records=%d malformed=%d oversized=%d",
-				len(rep.Skipped), rep.Malformed, rep.Oversized)
-		}
-		db = seqs
+	if rep != nil {
+		metrics.Global.Malformed.Add(int64(rep.Malformed))
+		metrics.Global.Oversized.Add(int64(rep.Oversized))
 	}
 	if shardCount > 0 {
 		// Shard mode: keep only this process's consistent-hash slice of
@@ -667,130 +398,27 @@ func runServer(addr, dbPath string, genDB, threads int, admin string, shardIdx, 
 		log.Printf("level=info event=shard index=%d count=%d seqs=%d of=%d residues=%d",
 			shardIdx, shardCount, len(db), full, swvec.TotalResidues(db))
 	}
-	al, err := swvec.New(swvec.WithThreads(threads), swvec.WithLengthSortedBatches(), swvec.WithBackend(cfg.backend), swvec.WithKernel(cfg.kernel))
+	al, err := swvec.New(swvec.WithThreads(cfg.threads), swvec.WithLengthSortedBatches(), swvec.WithBackend(cfg.backend), swvec.WithKernel(cfg.kernel))
 	if err != nil {
 		fatal("%v", err)
 	}
 	if admin != "" {
-		startAdmin(admin, log.Printf)
+		if _, err := serve.StartAdmin(admin, nil, log.Printf); err != nil {
+			fatal("%v", err)
+		}
 	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fatal("%v", err)
 	}
-	srv := newServer(al, db, ln, cfg)
+	fe := newServer(al, db, cfg).frontEnd(ln, front)
 	log.Printf("level=info event=listen addr=%s db_seqs=%d batch=%d window=%s max_conns=%d request_timeout=%s",
-		ln.Addr(), len(db), cfg.batchSize, cfg.window, cfg.maxConns, cfg.reqTimeout)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
-	go func() {
-		sig := <-sigCh
-		log.Printf("level=info event=shutdown signal=%s", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}()
-
-	srv.serve()
-	// serve returns once Shutdown has closed the listener, but the
-	// flush and the reply writers are still in flight on the signal
-	// goroutine. Calling Shutdown again blocks until the first call
-	// completes (sync.Once semantics), so the process cannot exit —
-	// tearing down the connections — before every reply is written.
-	waitCtx, waitCancel := context.WithTimeout(context.Background(), 35*time.Second)
-	srv.Shutdown(waitCtx)
-	waitCancel()
+		ln.Addr(), len(db), cfg.batchSize, cfg.window, front.MaxConns, cfg.reqTimeout)
+	fe.Run()
 	stats := swvec.GlobalStats()
 	log.Printf("level=info event=exit searches=%d cells=%d rescued=%d",
 		stats.Searches, stats.Cells(), stats.Saturated8)
-}
-
-// runClient submits every query record and prints one line per
-// response. Connection, deadline, and per-request failures are
-// reported in each request's Error field instead of aborting the whole
-// run; the exit code is 1 if any request failed.
-func runClient(addr, queryPath string, top int, timeout time.Duration) int {
-	if queryPath == "" {
-		fatal("client mode needs -query")
-	}
-	f, err := os.Open(queryPath)
-	if err != nil {
-		fatal("%v", err)
-	}
-	queries, rerr := swvec.ReadFasta(f)
-	f.Close()
-	if rerr != nil {
-		fatal("%v", rerr)
-	}
-
-	results := make(map[string]response, len(queries))
-	fail := func(id, format string, args ...any) {
-		results[id] = response{ID: id, Error: fmt.Sprintf(format, args...)}
-	}
-
-	var conn net.Conn
-	if timeout > 0 {
-		conn, err = net.DialTimeout("tcp", addr, timeout)
-	} else {
-		conn, err = net.Dial("tcp", addr)
-	}
-	sent := 0
-	if err != nil {
-		for i := range queries {
-			fail(queries[i].ID, "connect: %v", err)
-		}
-	} else {
-		defer conn.Close()
-		enc := json.NewEncoder(conn)
-		for i := range queries {
-			if timeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(timeout))
-			}
-			if err := enc.Encode(request{ID: queries[i].ID, Residues: string(queries[i].Residues), Top: top}); err != nil {
-				fail(queries[i].ID, "send: %v", err)
-				continue
-			}
-			sent++
-		}
-		dec := json.NewDecoder(bufio.NewReader(conn))
-		for i := 0; i < sent; i++ {
-			if timeout > 0 {
-				conn.SetReadDeadline(time.Now().Add(timeout))
-			}
-			var resp response
-			if err := dec.Decode(&resp); err != nil {
-				// The stream is dead: every sent-but-unanswered query
-				// gets the error.
-				for _, q := range queries {
-					if _, done := results[q.ID]; !done {
-						fail(q.ID, "recv: %v", err)
-					}
-				}
-				break
-			}
-			results[resp.ID] = resp
-		}
-	}
-
-	exit := 0
-	for i := range queries {
-		resp, ok := results[queries[i].ID]
-		if !ok {
-			resp = response{ID: queries[i].ID, Error: "no response received"}
-		}
-		if resp.Error != "" {
-			exit = 1
-			fmt.Printf("%s: error: %s\n", resp.ID, resp.Error)
-			continue
-		}
-		fmt.Printf("%s:\n", resp.ID)
-		for rank, h := range resp.Hits {
-			fmt.Printf("  %2d. score %5d  %s\n", rank+1, h.Score, h.SeqID)
-		}
-	}
-	return exit
 }
 
 func fatal(format string, args ...interface{}) {

@@ -10,11 +10,19 @@ import (
 	"time"
 
 	"swvec"
+	"swvec/internal/serve"
 )
 
-// startTestServer wires a full server (batcher + accept loop) on an
+// startTestServer wires a full server (batcher + front end) on an
 // ephemeral port, mirroring runServer without the fatal-exit paths.
-func startTestServer(t *testing.T, db []swvec.Sequence, batchSize int, window time.Duration) (*server, string) {
+func startTestServer(t *testing.T, db []swvec.Sequence, batchSize int, window time.Duration) (*serve.Server, string) {
+	t.Helper()
+	return startServerWithConfig(t, db, serve.Config{MaxConns: 16, Idle: time.Minute},
+		serverConfig{batchSize: batchSize, window: window, reqTimeout: 30 * time.Second})
+}
+
+// startServerWithConfig is startTestServer with every knob exposed.
+func startServerWithConfig(t *testing.T, db []swvec.Sequence, front serve.Config, cfg serverConfig) (*serve.Server, string) {
 	t.Helper()
 	al, err := swvec.New(swvec.WithThreads(2))
 	if err != nil {
@@ -24,21 +32,17 @@ func startTestServer(t *testing.T, db []swvec.Sequence, batchSize int, window ti
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(al, db, ln, serverConfig{
-		batchSize:  batchSize,
-		window:     window,
-		reqTimeout: 30 * time.Second,
-		maxConns:   16,
-		idle:       time.Minute,
-	})
+	srv := newServer(al, db, cfg)
 	srv.logf = t.Logf
-	go srv.serve()
+	front.Logf = t.Logf
+	fe := srv.frontEnd(ln, front)
+	go fe.Serve()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		srv.Shutdown(ctx)
+		fe.Shutdown(ctx)
 	})
-	return srv, ln.Addr().String()
+	return fe, ln.Addr().String()
 }
 
 func TestServerEndToEnd(t *testing.T) {

@@ -1,37 +1,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"net"
 	"testing"
 	"time"
 
 	"swvec"
+	"swvec/internal/serve"
 )
-
-// startServerWithConfig is startTestServer with the overload knobs
-// exposed.
-func startServerWithConfig(t *testing.T, db []swvec.Sequence, cfg serverConfig) (*server, string) {
-	t.Helper()
-	al, err := swvec.New(swvec.WithThreads(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(al, db, ln, cfg)
-	srv.logf = t.Logf
-	go srv.serve()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	return srv, ln.Addr().String()
-}
 
 // testClient is a sequential request/response JSON client.
 type testClient struct {
@@ -64,50 +41,28 @@ func (c *testClient) roundTrip(req request) response {
 	return resp
 }
 
-// TestServerShedsWhenQueueFull drives serveConn over a pipe against a
-// server whose queue is already at capacity (no batcher draining it):
-// the request must be refused immediately with the overloaded code,
-// not block the read loop.
+// TestServerShedsWhenQueueFull offers a request to a server whose
+// queue is already at capacity (no batcher draining it): admission must
+// refuse it at once with the overloaded code, not block the read loop.
 func TestServerShedsWhenQueueFull(t *testing.T) {
 	al, err := swvec.New(swvec.WithThreads(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	db := swvec.GenerateDatabase(50, 4)
-	srv := newServer(al, db, nil, serverConfig{batchSize: 1})
+	srv := newServer(al, db, serverConfig{batchSize: 1})
 	srv.logf = t.Logf
 	for i := 0; i < cap(srv.queue); i++ {
 		srv.queue <- pending{req: request{ID: "parked"}, reply: make(chan response, 1)}
 	}
 	shedBefore := swvec.GlobalStats().Shed
 
-	client, serverSide := net.Pipe()
-	defer client.Close()
-	srv.readWG.Add(1)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.serveConn(serverSide)
-	}()
-
-	if err := json.NewEncoder(client).Encode(request{ID: "shed-me", Residues: "MKVLAW"}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := json.NewDecoder(client).Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != codeOverloaded {
-		t.Fatalf("response = %+v, want code %q", resp, codeOverloaded)
+	reply, refused := srv.Admit(&request{ID: "shed-me", Residues: "MKVLAW"}, make(chan struct{}))
+	if reply != nil || refused == nil || refused.Code != codeOverloaded {
+		t.Fatalf("refusal = %+v, want code %q", refused, codeOverloaded)
 	}
 	if got := swvec.GlobalStats().Shed; got != shedBefore+1 {
 		t.Errorf("Shed counter went %d -> %d, want +1", shedBefore, got)
-	}
-	client.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("serveConn did not return after the client hung up")
 	}
 }
 
@@ -115,10 +70,9 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 // structured too_large refusal and never reaches the compute queue.
 func TestServerRejectsOversizedSequence(t *testing.T) {
 	db := swvec.GenerateDatabase(51, 8)
-	_, addr := startServerWithConfig(t, db, serverConfig{
-		batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second,
-		maxConns: 4, idle: time.Minute, maxSeq: 50,
-	})
+	_, addr := startServerWithConfig(t, db,
+		serve.Config{MaxConns: 4, Idle: time.Minute, MaxSeq: 50},
+		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
 	c := dialTest(t, addr)
 
 	big := make([]byte, 100)
@@ -146,10 +100,9 @@ func TestServerRejectsOversizedSequence(t *testing.T) {
 // mid-line).
 func TestServerBodyLimit(t *testing.T) {
 	db := swvec.GenerateDatabase(52, 8)
-	_, addr := startServerWithConfig(t, db, serverConfig{
-		batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second,
-		maxConns: 4, idle: time.Minute, maxBody: 4096,
-	})
+	_, addr := startServerWithConfig(t, db,
+		serve.Config{MaxConns: 4, Idle: time.Minute, MaxBody: 4096},
+		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -180,10 +133,8 @@ func TestServerBodyLimit(t *testing.T) {
 // not poison other queries batched in the same window.
 func TestServerRejectsInvalidResiduesCode(t *testing.T) {
 	db := swvec.GenerateDatabase(53, 8)
-	_, addr := startServerWithConfig(t, db, serverConfig{
-		batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second,
-		maxConns: 4, idle: time.Minute,
-	})
+	_, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
+		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
 	c := dialTest(t, addr)
 	resp := c.roundTrip(request{ID: "bad", Residues: "MK1VLAW"})
 	if resp.Code != codeBadRequest {
@@ -205,7 +156,7 @@ func TestServerDegradedModeUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := swvec.GenerateDatabase(54, 16)
-	srv := newServer(al, db, nil, serverConfig{batchSize: 1, reqTimeout: 30 * time.Second})
+	srv := newServer(al, db, serverConfig{batchSize: 1, reqTimeout: 30 * time.Second})
 	srv.logf = t.Logf
 	for i := 0; i < 3*cap(srv.queue)/4; i++ {
 		srv.queue <- pending{req: request{ID: "parked"}, reply: make(chan response, 1)}

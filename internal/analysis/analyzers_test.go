@@ -172,7 +172,7 @@ func TestFailpointSiteUntagged(t *testing.T) {
 }
 
 func TestWireCode(t *testing.T) {
-	runFixture(t, WireCode, "fix/internal/cluster", "fix/cmd/swrouter")
+	runFixture(t, WireCode, "fix/internal/cluster", "fix/internal/serve", "fix/cmd/swrouter")
 }
 
 // TestMalformedSuppressions checks that broken //swlint:ignore comments

@@ -22,11 +22,14 @@ the router's retry and breaker decisions, so an unclassified or
 hand-spelled code degrades silently into "not retryable" (DESIGN.md
 §13). This analyzer requires: every Code* constant to appear in a
 case clause of cluster.RetryableCode, so adding a code forces an
-explicit retryable-or-not decision; cmd/swrouter to reference every
-code, so its retry/breaker handling cannot lag the protocol; and no
-string literal equal to a code value anywhere outside wire.go — the
-constant is the single spelling.`,
-	Run: runWireCode,
+explicit retryable-or-not decision; the router's admission and
+routing path — cmd/swrouter together with the serving front end it
+runs on, internal/serve — to reference every code, so its
+retry/breaker handling cannot lag the protocol; and no string literal
+equal to a code value anywhere outside wire.go — the constant is the
+single spelling.`,
+	Run:    runWireCode,
+	Finish: finishWireCode,
 }
 
 // clusterPkg is the path suffix of the wire-protocol package.
@@ -45,7 +48,11 @@ func runWireCode(pass *Pass) error {
 	codes := codeFacts(pass.Facts())
 	checkCodeLiterals(pass, codes, "")
 	if pkgPathIs(pass.Path, "cmd/swrouter") {
-		checkRouterCoverage(pass, codes)
+		// Coverage is judged only when the router itself is loaded.
+		pass.ExportFact(pass.Files[0].Package, "router", pass.Path)
+	}
+	if pkgPathIs(pass.Path, "cmd/swrouter") || pkgPathIs(pass.Path, "internal/serve") {
+		exportCodeUses(pass)
 	}
 	return nil
 }
@@ -162,33 +169,40 @@ func checkCodeLiterals(pass *Pass, codes map[string]string, exemptFile string) {
 	}
 }
 
-// checkRouterCoverage requires cmd/swrouter to reference every wire
-// code: a code its retry/breaker path never mentions is a code it
-// mishandles by omission.
-func checkRouterCoverage(pass *Pass, codes map[string]string) {
-	used := map[string]bool{}
-	for _, obj := range pass.TypesInfo.Uses {
+// exportCodeUses records every wire code the package references.
+func exportCodeUses(pass *Pass) {
+	for id, obj := range pass.TypesInfo.Uses {
 		c, ok := obj.(*types.Const)
-		if !ok || c.Pkg() == nil || !pkgPathIs(c.Pkg().Path(), clusterPkg) || !isCodeName(c.Name()) {
-			continue
-		}
-		used[c.Name()] = true
-	}
-	// Report at the constant's declaration (this package has no
-	// position for an absence).
-	for _, fact := range pass.Facts() {
-		if fact.Key != "code" {
-			continue
-		}
-		name, _, _ := strings.Cut(fact.Value, "=")
-		if !used[name] {
-			pass.report(Diagnostic{
-				Analyzer: pass.Analyzer.Name,
-				Pos:      fact.Pos,
-				Message:  "wire code " + name + " is never referenced by cmd/swrouter: its retry/breaker handling lags the protocol",
-			})
+		if ok && c.Pkg() != nil && pkgPathIs(c.Pkg().Path(), clusterPkg) && isCodeName(c.Name()) {
+			pass.ExportFact(id.Pos(), "use", c.Name())
 		}
 	}
+}
+
+// finishWireCode requires the router's packages, together, to reference
+// every wire code: a code its retry/breaker path never mentions is a
+// code it mishandles by omission. The finding sits at the constant's
+// declaration, since an absence has no position of its own.
+func finishWireCode(f *Finisher) error {
+	used := map[string]bool{}
+	router := false
+	for _, fact := range f.Facts {
+		switch fact.Key {
+		case "use":
+			used[fact.Value] = true
+		case "router":
+			router = true
+		}
+	}
+	if !router {
+		return nil
+	}
+	for _, fact := range f.Facts {
+		if name, _, _ := strings.Cut(fact.Value, "="); fact.Key == "code" && !used[name] {
+			f.Reportf(fact.Pos, "wire code %s is never referenced by cmd/swrouter or internal/serve: its retry/breaker handling lags the protocol", name)
+		}
+	}
+	return nil
 }
 
 // isCodeName matches the Code* constant naming convention.

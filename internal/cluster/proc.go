@@ -114,6 +114,10 @@ func SpawnShards(opt SpawnOptions) ([]*Proc, error) {
 
 func spawnOne(bin string, shard, replica int, args []string, ready time.Duration, logf func(string, ...any)) (*Proc, error) {
 	cmd := exec.Command(bin, args...)
+	// Linux sends the parent-death signal when the *thread* that forked
+	// the shard exits, not the process: spawn from a goroutine that is
+	// not locked to a thread it lets die, or the shard is killed early.
+	dieWithParent(cmd)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, err
@@ -143,6 +147,10 @@ func spawnOne(bin string, shard, replica int, args []string, ready time.Duration
 	case addr := <-addrCh:
 		p.Addr = addr
 		return p, nil
+	case <-p.scanDone:
+		// The shard closed its log without announcing: it has exited,
+		// say on a bad flag. Report that now, not after the timeout.
+		return nil, fmt.Errorf("exited before announcing its listen address: %v", p.Wait())
 	case <-time.After(ready):
 		p.Kill()
 		return nil, fmt.Errorf("no listen announcement within %s", ready)

@@ -65,6 +65,14 @@ echo "== cluster e2e (3-shard chaos gate) =="
 # under the race detector with failpoints compiled in, leakchecked.
 go test -race -tags failpoint -run 'TestClusterE2E' -v ./cmd/swrouter
 
+echo "== benchmark module (perfbench) =="
+# perfbench/ is its own Go module, so ./... above never compiles it,
+# yet it imports swvec/internal/..., launches swserver and swrouter and
+# parses their log lines. Vet it and run its tests, whose teardown
+# cases SIGTERM and SIGKILL the real binaries (about 12 s).
+go -C perfbench vet ./...
+go -C perfbench test ./...
+
 echo "== fuzz smoke =="
 go test -fuzz=FuzzAlignWidths -fuzztime=10s -run FuzzAlignWidths ./internal/core
 go test -fuzz=FuzzNativeVsModeled -fuzztime=10s -run FuzzNativeVsModeled ./internal/core
