@@ -119,12 +119,10 @@ func clusterE2ESingle(t *testing.T, bin string) {
 	leakcheck.Check(t)
 
 	procs, err := cluster.SpawnShards(cluster.SpawnOptions{
-		Bin:    bin,
-		Shards: 3,
-		GenDB:  e2eDBSize,
-		// Answer each query as it arrives: batching windows only add
-		// latency when the workload is a test harness.
-		ExtraArgs: []string{"-batch", "1", "-window", "2ms"},
+		Bin:       bin,
+		Shards:    3,
+		GenDB:     e2eDBSize,
+		ExtraArgs: []string{"-batch", "1"},
 		Logf:      t.Logf,
 	})
 	if err != nil {
@@ -285,7 +283,7 @@ func clusterE2EReplicated(t *testing.T, bin string) {
 		Shards:    3,
 		Replicas:  2,
 		GenDB:     e2eDBSize,
-		ExtraArgs: []string{"-batch", "1", "-window", "2ms"},
+		ExtraArgs: []string{"-batch", "1"},
 		Logf:      t.Logf,
 	})
 	if err != nil {

@@ -29,9 +29,9 @@ type routerConfig struct {
 
 // router is the front end's backend that serves each admitted request
 // by scattering it across the shard pool and merging the gathered
-// top-K. Unlike swserver there is no batching window: a scatter is
-// already a fan-out of the whole cluster, so requests leave as soon as
-// they arrive, bounded by the in-flight semaphore. Its drain cancels
+// top-K. Unlike swserver it does not batch: a scatter is already a
+// fan-out of the whole cluster, so requests leave as soon as they
+// arrive, bounded by the in-flight semaphore. Its drain cancels
 // the in-flight scatters.
 type router struct {
 	pool       *cluster.Pool

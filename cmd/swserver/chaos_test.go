@@ -3,6 +3,10 @@
 package main
 
 import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -20,8 +24,8 @@ import (
 func TestServerBreakerTripsAndRecovers(t *testing.T) {
 	defer failpoint.DisableAll()
 	db := swvec.GenerateDatabase(55, 16)
-	_, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute}, serverConfig{
-		batchSize: 1, window: time.Millisecond, reqTimeout: 30 * time.Second,
+	_, _, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute}, serverConfig{
+		batchSize: 1, reqTimeout: 30 * time.Second,
 		breakFails: 2, breakCooldown: 300 * time.Millisecond,
 	})
 	if err := failpoint.Enable("swserver/search", "error(compute down):first=2"); err != nil {
@@ -72,8 +76,8 @@ func TestServerBreakerTripsAndRecovers(t *testing.T) {
 func TestServerRequestFaultIsIsolated(t *testing.T) {
 	defer failpoint.DisableAll()
 	db := swvec.GenerateDatabase(56, 8)
-	_, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
-		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
+	_, _, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
+		serverConfig{batchSize: 2, reqTimeout: 30 * time.Second})
 	if err := failpoint.Enable("serve/request", "error(request glitch):first=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -87,5 +91,78 @@ func TestServerRequestFaultIsIsolated(t *testing.T) {
 	resp = c.roundTrip(request{ID: "fine", Residues: frag, Top: 1})
 	if resp.Error != "" || len(resp.Hits) == 0 {
 		t.Fatalf("request after the fault got %+v, want hits", resp)
+	}
+}
+
+// TestServerShutdownFlushesQueue starts Shutdown while admitted
+// requests wait in the queue behind a running batch: batches of one,
+// each held 300 ms by the swserver/search failpoint. Drain must still
+// answer every queued request with its real hits.
+func TestServerShutdownFlushesQueue(t *testing.T) {
+	defer failpoint.DisableAll()
+	db := swvec.GenerateDatabase(45, 32)
+	srv, fe, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
+		serverConfig{batchSize: 1, reqTimeout: 30 * time.Second})
+	if err := failpoint.Enable("swserver/search", "delay(300ms)"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc := json.NewEncoder(conn)
+	send := func(si int) {
+		t.Helper()
+		if err := enc.Encode(request{ID: db[si].ID, Residues: string(db[si].Residues[:40]), Top: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// The first query's batch is computing once the failpoint fires;
+	// the next two then queue behind it.
+	sources := []int{3, 9, 20}
+	send(sources[0])
+	waitFor("the first batch", func() bool { return failpoint.Fired("swserver/search") == 1 })
+	send(sources[1])
+	send(sources[2])
+	waitFor("two queued requests", func() bool { return len(srv.queue) == 2 })
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		fe.Shutdown(ctx)
+	}()
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	dec := json.NewDecoder(bufio.NewReader(conn))
+	got := map[string]response{}
+	for range sources {
+		var resp response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("shutdown did not answer every queued request: %v", err)
+		}
+		got[resp.ID] = resp
+	}
+	for _, si := range sources {
+		resp := got[db[si].ID]
+		if resp.Error != "" || len(resp.Hits) == 0 || resp.Hits[0].SeqID != db[si].ID {
+			t.Errorf("%s answered %+v, want its own sequence as the top hit", db[si].ID, resp)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("Shutdown did not return")
 	}
 }

@@ -1,9 +1,12 @@
 // Command swserver is the centralized alignment server of usage
 // scenario 2 (§II-C, §IV-G): clients submit protein queries over TCP,
-// the server accumulates them into batches, aligns each batch against
-// its database with the multi-query engine, and returns the top hits.
-// Accumulating queries before computing is the efficiency lever the
-// paper highlights for this scenario.
+// the server batches them, aligns each batch against its database with
+// the multi-query engine, and returns the top hits. Batching queries
+// so one pass over the database serves several is the efficiency
+// lever the paper highlights for this scenario, and it pays while the
+// engine is busy: the batcher computes as soon as the engine is free,
+// with whatever is queued up to -batch, so requests that arrive during
+// a compute form the next batch and an idle server answers at once.
 //
 // The connection handling, admission limits, graceful shutdown, admin
 // port and client mode are the front end it shares with swrouter
@@ -12,11 +15,11 @@
 // immediately (429-style) instead of stalling the connection, repeated
 // batch failures trip a circuit breaker that fast-rejects until a
 // cooldown probe succeeds, sustained queue pressure switches batches
-// to a reduced-capacity degraded aligner, and shutdown flushes the
-// pending accumulation window. Every protective action is counted in
-// the swvec.search expvar counters.
+// to a reduced-capacity degraded aligner, and shutdown answers every
+// queued request before it returns. Every protective action is counted
+// in the swvec.search expvar counters.
 //
-// Server:  swserver -listen :7979 -db db.fasta [-batch 8] [-window 50ms]
+// Server:  swserver -listen :7979 -db db.fasta [-batch 8]
 //
 //	[-request-timeout 30s] [-max-conns 256] [-idle-timeout 2m]
 //	[-max-seq 100000] [-max-body 8388608] [-breaker-failures 3]
@@ -35,7 +38,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"swvec"
@@ -70,7 +72,6 @@ func main() {
 		dbPath     = flag.String("db", "", "database FASTA (server mode)")
 		genDB      = flag.Int("gen-db", 0, "serve a synthetic database of this size instead of -db")
 		batch      = flag.Int("batch", 8, "queries to accumulate before computing")
-		window     = flag.Duration("window", 50*time.Millisecond, "maximum accumulation delay")
 		query      = flag.String("query", "", "query FASTA (client mode; all records are submitted)")
 		top        = flag.Int("top", 5, "hits per query (client mode)")
 		threads    = flag.Int("threads", 0, "worker threads (server mode)")
@@ -107,7 +108,6 @@ func main() {
 		front := serve.Config{MaxConns: *maxConns, Idle: *idle, MaxSeq: *maxSeq, MaxBody: *maxBody}
 		runServer(*listen, *dbPath, *genDB, *admin, *shardIdx, *shardCount, front, serverConfig{
 			batchSize:     *batch,
-			window:        *window,
 			reqTimeout:    *reqTimeout,
 			breakFails:    *brkFails,
 			breakCooldown: *brkCool,
@@ -136,7 +136,6 @@ type pending struct {
 // serverConfig bundles the compute-side knobs.
 type serverConfig struct {
 	batchSize     int
-	window        time.Duration
 	reqTimeout    time.Duration // per-batch compute deadline, 0 = none
 	breakFails    int           // breaker threshold, 0 = default
 	breakCooldown time.Duration // breaker cooldown, 0 = default
@@ -145,11 +144,10 @@ type serverConfig struct {
 	kernel        swvec.Kernel  // kernel family for both aligners
 }
 
-// server is the front end's backend that accumulates admitted queries
-// into batches and aligns them. Its drain closes the queue once no
-// reader can enqueue any more: the batcher then processes whatever the
-// accumulation window was holding (the flush), and the replies flow
-// back to the waiting reply goroutines.
+// server is the front end's backend that batches admitted queries and
+// aligns them. Its drain closes the queue once no reader can enqueue
+// any more: the batcher then processes whatever is still queued (the
+// flush), and the replies flow back to the waiting reply goroutines.
 type server struct {
 	al *swvec.Aligner
 	// alDeg is the reduced-capacity aligner batches fall back to under
@@ -223,8 +221,8 @@ func (s *server) Admit(req *request, closing <-chan struct{}) (func() any, *resp
 	}
 }
 
-// Drain closes the queue, which makes the batcher process whatever the
-// window was still accumulating and exit: the flush.
+// Drain closes the queue, which makes the batcher process whatever is
+// still queued and exit: the flush.
 func (s *server) Drain(ctx context.Context) {
 	close(s.queue)
 	select {
@@ -260,19 +258,19 @@ func newDegradedAligner(threads int, backend swvec.Backend, kernel swvec.Kernel)
 	return al
 }
 
-// batcher accumulates requests and runs the multi-query engine once
-// per batch — the scenario-2 design. A closed queue breaks the fill
-// immediately, so shutdown flushes the pending window instead of
-// waiting it out.
+// batcher runs the multi-query engine once per batch — the scenario-2
+// design — and is work-conserving: it blocks only for a batch's first
+// request, then takes whatever else is already queued, up to
+// batchSize, and computes at once. Requests that arrive during a
+// compute queue up for the next batch, so batches fill under load
+// without holding a request while the engine idles. The loop ends once
+// Drain has closed the queue and the batcher has answered everything
+// still in it: the flush.
 func (s *server) batcher() {
 	defer close(s.batcherDone)
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := []pending{first}
-		timer := time.NewTimer(s.cfg.window)
+	batch := make([]pending, 0, s.cfg.batchSize)
+	for first := range s.queue {
+		batch = append(batch[:0], first)
 	fill:
 		for len(batch) < s.cfg.batchSize {
 			select {
@@ -281,21 +279,20 @@ func (s *server) batcher() {
 					break fill
 				}
 				batch = append(batch, p)
-			case <-timer.C:
+			default:
 				break fill
 			}
 		}
-		timer.Stop()
 		s.process(batch)
 	}
 }
 
-// process aligns one accumulated batch under the per-request deadline
-// and answers every query, including per-request errors when the
-// compute is cut short. It is also where the overload protections bind
-// to the compute layer: an open circuit breaker refuses the batch
-// outright, queue pressure switches to the degraded aligner, and the
-// batch's outcome feeds the breaker.
+// process aligns one batch under the per-request deadline and answers
+// every query, including per-request errors when the compute is cut
+// short. It is also where the overload protections bind to the compute
+// layer: an open circuit breaker refuses the batch outright, queue
+// pressure switches to the degraded aligner, and the batch's outcome
+// feeds the breaker.
 func (s *server) process(batch []pending) {
 	if !s.brk.Allow() {
 		metrics.Global.BreakerRejected.Add(int64(len(batch)))
@@ -318,8 +315,8 @@ func (s *server) process(batch []pending) {
 	degraded := false
 	if q := len(s.queue); q >= 3*cap(s.queue)/4 {
 		// Sustained pressure: the queue is still three-quarters full
-		// after accumulation. Cap the compute footprint so connection
-		// handling and shedding stay responsive.
+		// after this batch was taken. Cap the compute footprint so
+		// connection handling and shedding stay responsive.
 		al, degraded = s.alDeg, true
 		metrics.Global.Degraded.Add(1)
 		s.logf("level=warn event=degraded queue_len=%d queue_cap=%d", q, cap(s.queue))
@@ -346,18 +343,10 @@ func (s *server) process(batch []pending) {
 		if n <= 0 {
 			n = 5
 		}
-		idx := make([]int, len(s.db))
-		for i := range idx {
-			idx[i] = i
-		}
-		scores := res.Scores[qi]
-		sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-		if n > len(idx) {
-			n = len(idx)
-		}
-		hits := make([]hit, n)
-		for i := 0; i < n; i++ {
-			hits[i] = hit{SeqID: s.db[idx[i]].ID, Score: scores[idx[i]]}
+		top := res.TopHits(qi, n)
+		hits := make([]hit, len(top))
+		for i, h := range top {
+			hits[i] = hit{SeqID: s.db[h.SeqIndex].ID, Score: h.Score}
 		}
 		p.reply <- response{ID: p.req.ID, Hits: hits}
 	}
@@ -413,8 +402,8 @@ func runServer(addr, dbPath string, genDB int, admin string, shardIdx, shardCoun
 		fatal("%v", err)
 	}
 	fe := newServer(al, db, cfg).frontEnd(ln, front)
-	log.Printf("level=info event=listen addr=%s db_seqs=%d batch=%d window=%s max_conns=%d request_timeout=%s",
-		ln.Addr(), len(db), cfg.batchSize, cfg.window, front.MaxConns, cfg.reqTimeout)
+	log.Printf("level=info event=listen addr=%s db_seqs=%d batch=%d max_conns=%d request_timeout=%s",
+		ln.Addr(), len(db), cfg.batchSize, front.MaxConns, cfg.reqTimeout)
 	fe.Run()
 	stats := swvec.GlobalStats()
 	log.Printf("level=info event=exit searches=%d cells=%d rescued=%d",

@@ -70,9 +70,9 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 // structured too_large refusal and never reaches the compute queue.
 func TestServerRejectsOversizedSequence(t *testing.T) {
 	db := swvec.GenerateDatabase(51, 8)
-	_, addr := startServerWithConfig(t, db,
+	_, _, addr := startServerWithConfig(t, db,
 		serve.Config{MaxConns: 4, Idle: time.Minute, MaxSeq: 50},
-		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
+		serverConfig{batchSize: 2, reqTimeout: 30 * time.Second})
 	c := dialTest(t, addr)
 
 	big := make([]byte, 100)
@@ -100,9 +100,9 @@ func TestServerRejectsOversizedSequence(t *testing.T) {
 // mid-line).
 func TestServerBodyLimit(t *testing.T) {
 	db := swvec.GenerateDatabase(52, 8)
-	_, addr := startServerWithConfig(t, db,
+	_, _, addr := startServerWithConfig(t, db,
 		serve.Config{MaxConns: 4, Idle: time.Minute, MaxBody: 4096},
-		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
+		serverConfig{batchSize: 2, reqTimeout: 30 * time.Second})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +130,11 @@ func TestServerBodyLimit(t *testing.T) {
 
 // TestServerRejectsInvalidResiduesCode upgrades the existing invalid
 // residue check: the refusal must carry the bad_request code and must
-// not poison other queries batched in the same window.
+// not poison other queries batched with it.
 func TestServerRejectsInvalidResiduesCode(t *testing.T) {
 	db := swvec.GenerateDatabase(53, 8)
-	_, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
-		serverConfig{batchSize: 2, window: 20 * time.Millisecond, reqTimeout: 30 * time.Second})
+	_, _, addr := startServerWithConfig(t, db, serve.Config{MaxConns: 4, Idle: time.Minute},
+		serverConfig{batchSize: 2, reqTimeout: 30 * time.Second})
 	c := dialTest(t, addr)
 	resp := c.roundTrip(request{ID: "bad", Residues: "MK1VLAW"})
 	if resp.Code != codeBadRequest {

@@ -38,7 +38,7 @@ func TestWireEquivalence(t *testing.T) {
 	}
 	admin := reserveAddr(t)
 	addr := startWireBinary(t, bin, "-listen", "127.0.0.1:0", "-gen-db", "20", "-threads", "1",
-		"-batch", "1", "-window", "1ms", "-max-seq", "300", "-max-body", "4096", "-admin", admin)
+		"-batch", "1", "-max-seq", "300", "-max-body", "4096", "-admin", admin)
 
 	db := swvec.GenerateDatabase(42, 20) // the fixed seed -gen-db serves
 	steps := []wireStep{

@@ -166,8 +166,8 @@ func (p *Proc) Kill() {
 	p.Wait()
 }
 
-// Stop asks for a graceful shutdown (SIGTERM — swserver drains its
-// accumulation window) and reaps the process.
+// Stop asks for a graceful shutdown (SIGTERM — swserver answers its
+// queued requests first) and reaps the process.
 func (p *Proc) Stop() error {
 	if p.cmd.Process != nil {
 		p.cmd.Process.Signal(syscall.SIGTERM)

@@ -69,8 +69,10 @@ type Counters struct {
 	// rebuilding it.
 	ProfileCacheHits atomic.Int64
 
-	// QueueHighWater is the deepest the 8-bit work queue ever got — a
-	// direct read on whether the producer or the workers are the
+	// QueueHighWater is the deepest the 8-bit work queue ever got,
+	// counting the batch being handed over and capped at the queue's
+	// capacity, so a search that produced any batch reads at least 1 —
+	// a direct read on whether the producer or the workers are the
 	// bottleneck for the configured pipeline depth.
 	QueueHighWater atomic.Int64
 

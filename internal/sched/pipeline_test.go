@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
@@ -170,6 +171,35 @@ func TestTopHitsMatchesStableSort(t *testing.T) {
 	for i, h := range res.Hits {
 		if h.SeqIndex != i {
 			t.Fatal("TopHits mutated Result.Hits")
+		}
+	}
+}
+
+// TestMultiTopHitsMatchesStableSort checks MultiResult.TopHits, which
+// ranks a score row without building a hit per sequence, against the
+// stable sort on tie-heavy random rows, including n past the row
+// length and n <= 0.
+func TestMultiTopHitsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		res := &MultiResult{Scores: make([][]int32, 3)}
+		for q := range res.Scores {
+			row := make([]int32, rng.Intn(40))
+			for i := range row {
+				row[i] = int32(rng.Intn(6)) // few values: many ties
+			}
+			res.Scores[q] = row
+		}
+		for q, row := range res.Scores {
+			hits := make([]Hit, len(row))
+			for i, s := range row {
+				hits[i] = Hit{SeqIndex: i, Score: s}
+			}
+			for _, n := range []int{-1, 0, 1, 5, len(row), len(row) + 3} {
+				if got, want := res.TopHits(q, n), referenceTopHits(hits, n); !reflect.DeepEqual(got, want) {
+					t.Fatalf("row %v, n=%d:\n got %v\nwant %v", row, n, got, want)
+				}
+			}
 		}
 	}
 }

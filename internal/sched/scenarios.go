@@ -135,7 +135,7 @@ func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Seque
 			if opt.Instrument {
 				mch, tal = vek.NewMachine()
 			}
-			scratch := core.NewScratch()
+			scratch := getScratch()
 			var enc []uint8
 			for batch := range work {
 				// Cancellation point: drain remaining batches without
@@ -188,6 +188,8 @@ func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Seque
 				mu.Unlock()
 			}
 			met.ProfileCacheHits.Add(scratch.TakeProfileCacheHits())
+			// Per search, as in the pipeline worker.
+			putScratch(scratch, met.PanicsRecovered.Load() > 0)
 		}()
 	}
 	for _, b := range batches {
@@ -407,13 +409,17 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 			if opt.Instrument {
 				mch, tal = vek.NewMachine()
 			}
-			scratch := core.NewScratch()
+			scratch := getScratch()
+			// alignPairJob recovers panics without a counter set, so
+			// any failed pair keeps this worker's arena out of the pool.
+			failed := false
 			for jb := range work {
 				if ictx.Err() != nil {
 					continue
 				}
 				hit, err := alignPairJob(mch, queries[jb.qi], encoded[jb.si], mat, jb.qi, jb.si, traceback, &opt, scratch)
 				if err != nil {
+					failed = true
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -429,6 +435,7 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 				mu.Unlock()
 			}
 			metrics.Global.ProfileCacheHits.Add(scratch.TakeProfileCacheHits())
+			putScratch(scratch, failed)
 		}()
 	}
 	for qi := range queries {

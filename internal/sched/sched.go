@@ -445,10 +445,14 @@ func (p *pipeline) produce() {
 			return
 		}
 		p.wg8.Add(1)
+		// The depth counts the batch being handed over, sampled before
+		// the send: a worker already waiting takes it straight from the
+		// sender, and the channel's length then never shows it.
+		depth := min(len(p.work8)+1, cap(p.work8))
 		select {
 		case p.work8 <- b:
 			p.met.BatchesProduced.Add(1)
-			p.met.ObserveQueueDepth(len(p.work8))
+			p.met.ObserveQueueDepth(depth)
 		case <-p.ctx.Done():
 			p.wg8.Done()
 			p.stream.Recycle(b)
@@ -551,20 +555,20 @@ func (p *pipeline) dispatch32() {
 }
 
 // worker drains all three stages until every channel is closed. Each
-// worker owns its vector machine, tally, scratch arena, and encode
-// buffer; tallies merge once at exit. Cell counts flow through the
-// per-batch atomic stage counters, so they stay consistent with
-// Result.Stats even on a canceled run. After a cancel the workers keep
-// receiving — the stage runners just drop into drain mode — which lets
-// the producer and feeders retire their waitgroups and close every
-// channel in the normal order.
+// worker owns its vector machine, tally, scratch arena (on loan from
+// scratchPool), and encode buffer; tallies merge once at exit. Cell
+// counts flow through the per-batch atomic stage counters, so they
+// stay consistent with Result.Stats even on a canceled run. After a
+// cancel the workers keep receiving — the stage runners just drop into
+// drain mode — which lets the producer and feeders retire their
+// waitgroups and close every channel in the normal order.
 func (p *pipeline) worker() {
 	mch := vek.Bare
 	var tal *vek.Tally
 	if p.opt.Instrument {
 		mch, tal = vek.NewMachine()
 	}
-	scratch := core.NewScratch()
+	scratch := getScratch()
 	var enc []uint8
 	w8, w16, w32 := p.work8, p.work16, p.work32
 	for w8 != nil || w16 != nil || w32 != nil {
@@ -595,6 +599,9 @@ func (p *pipeline) worker() {
 		p.mu.Unlock()
 	}
 	p.met.ProfileCacheHits.Add(scratch.TakeProfileCacheHits())
+	// The counter covers the whole search, so a worker may also drop a
+	// clean arena after another worker's panic; dropping is always safe.
+	putScratch(scratch, p.met.PanicsRecovered.Load() > 0)
 }
 
 // consume8 retires one stage-1 job. The Done is deferred so even a
@@ -816,6 +823,28 @@ func (p *pipeline) tryAlign32(mch vek.Machine, s *core.Scratch, enc []uint8) (pr
 	}
 	return core.AlignPair32(mch, p.query, enc, p.mat,
 		core.PairOptions{Gaps: p.opt.Gaps, Scratch: s, Backend: p.opt.backend()})
+}
+
+// scratchPool recycles worker scratch arenas across searches, so a
+// search starts from arenas earlier searches already grew instead of
+// growing fresh ones. A core.Scratch is built for reuse: its buffers
+// only grow, its profile caches are keyed by matrix, query contents
+// and gaps, and one arena serves both register widths.
+var scratchPool = sync.Pool{New: func() any { return core.NewScratch() }}
+
+// getScratch lends a worker an arena for the length of its run.
+func getScratch() *core.Scratch { return scratchPool.Get().(*core.Scratch) }
+
+// putScratch returns a worker's arena at exit unless the worker
+// recovered a panic during its run: a kernel that panics mid-fill can
+// leave a valid-looking cache key over a half-built profile
+// (stripedProfileFor writes the profile before its key), which a later
+// search must not inherit. A worker whose panic escaped the
+// per-attempt recovery never gets here, so its arena is dropped too.
+func putScratch(s *core.Scratch, recovered bool) {
+	if !recovered {
+		scratchPool.Put(s)
+	}
 }
 
 // recoverAttempt converts a panic escaping a stage attempt into the

@@ -9,6 +9,15 @@ func (r *Result) TopHits(n int) []Hit {
 	return TopK(r.Hits, n)
 }
 
+// TopHits returns query q's n best hits under the TopK ranking,
+// selected straight from its score row without building a hit per
+// database sequence. SeqIndex is the database position; Rescued is
+// not tracked per query and stays false.
+func (r *MultiResult) TopHits(q, n int) []Hit {
+	row := r.Scores[q]
+	return topK(len(row), n, func(i int) Hit { return Hit{SeqIndex: i, Score: row[i]} })
+}
+
 // TopK selects the n best of hits under the search ranking contract:
 // score descending, ties broken by database order (lower SeqIndex
 // first). It selects with a bounded min-heap in O(len(hits)·log n) and
@@ -22,8 +31,13 @@ func (r *Result) TopHits(n int) []Hit {
 // scatter-gather bit-identical — order and tie-breaks included — to a
 // single-node search over the whole database.
 func TopK(hits []Hit, n int) []Hit {
-	if n > len(hits) {
-		n = len(hits)
+	return topK(len(hits), n, func(i int) Hit { return hits[i] })
+}
+
+// topK is TopK over count candidates read through at.
+func topK(count, n int, at func(i int) Hit) []Hit {
+	if n > count {
+		n = count
 	}
 	if n <= 0 {
 		return []Hit{}
@@ -64,7 +78,8 @@ func TopK(hits []Hit, n int) []Hit {
 			i = worst
 		}
 	}
-	for _, h := range hits {
+	for i := 0; i < count; i++ {
+		h := at(i)
 		if len(heap) < n {
 			heap = append(heap, h)
 			siftUp(len(heap) - 1)

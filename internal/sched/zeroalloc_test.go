@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"swvec/internal/aln"
@@ -75,5 +76,43 @@ func TestSearchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("run8 allocates %.1f objects per batch on the healthy path", allocs)
+	}
+}
+
+// TestMultiSearchReusesArenas pins what the scratch pool saves on the
+// serve path: a warm MultiSearch of one ~100-aa query against a shard
+// of 20 short proteins (50–400 aa, like a serving shard's slice) takes
+// its worker arena from the pool instead of growing a fresh one. A
+// fresh arena per call costs about 62 KiB here; a pooled one leaves
+// about 19 KiB, mostly the batch transposition.
+func TestMultiSearchReusesArenas(t *testing.T) {
+	if failpoint.Enabled {
+		t.Skip("failpoint build adds fault-injection lookups to the hot path")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g := seqio.NewGenerator(612)
+	db := make([]seqio.Sequence, 20)
+	for i := range db {
+		db[i] = g.Protein(fmt.Sprintf("s%d", i), 50+18*i)
+	}
+	queries := [][]uint8{g.Protein("q", 100).Encode(protAlpha)}
+	opt := Options{Gaps: aln.DefaultGaps(), Threads: 2}
+	search := func() {
+		if _, err := MultiSearch(queries, db, b62, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search() // warm the pool
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	if kib := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1024; kib > 28 {
+		t.Errorf("MultiSearch allocates %.1f KiB per warm call, want at most 28", kib)
 	}
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"swvec/internal/sched"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -100,6 +104,109 @@ func TestSearchAllEndToEnd(t *testing.T) {
 			t.Errorf("query %d: best hit %d, want %d", qi, bestIdx, self)
 		}
 	}
+}
+
+// TestAlignerConcurrentScenarios shares one Aligner between goroutines
+// running Search and SearchAll while sched.Subroutine runs beside them,
+// so worker arenas pass between the three scenarios and between query
+// lengths through the shared scratch pool. Self-hits saturate the
+// 8-bit stage, so the rescue path reuses arenas too. Every result must
+// equal its sequential run; run it under -race.
+func TestAlignerConcurrentScenarios(t *testing.T) {
+	al, err := New(WithThreads(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var db []Sequence
+	for _, s := range GenerateDatabase(9, 40) {
+		if len(s.Residues) <= 250 { // short proteins keep -race runs quick
+			db = append(db, s)
+		}
+	}
+	queries := [][]byte{db[4].Residues, db[0].Residues, db[7].Residues}
+	encoded := make([][]uint8, len(queries))
+	for i, q := range queries {
+		if encoded[i], err = al.encode(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search := func(q []byte) ([]Hit, error) {
+		res, err := al.Search(q, db)
+		if err != nil {
+			return nil, err
+		}
+		return res.Hits, nil
+	}
+	searchAll := func() ([][]int32, error) {
+		res, err := al.SearchAll(queries, db)
+		if err != nil {
+			return nil, err
+		}
+		return res.Scores, nil
+	}
+	subroutine := func() ([]sched.PairHit, error) {
+		res, err := sched.Subroutine(encoded, db[:6], al.mat, true, al.schedOptions())
+		if err != nil {
+			return nil, err
+		}
+		return res.Hits, nil
+	}
+
+	wantHits := make([][]Hit, len(queries))
+	for i, q := range queries {
+		if wantHits[i], err = search(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantScores, err := searchAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPairs, err := subroutine()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for i, q := range queries {
+				got, err := search(q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, wantHits[i]) {
+					t.Errorf("concurrent Search of query %d diverged", i)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			got, err := searchAll()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, wantScores) {
+				t.Error("concurrent SearchAll diverged")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			got, err := subroutine()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(got, wantPairs) {
+				t.Error("concurrent Subroutine diverged")
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestLinearGapOption(t *testing.T) {
