@@ -63,12 +63,15 @@ perfbench-test:
 	$(GO) -C perfbench test ./...
 
 # Differential fuzz smoke: every width instantiation of the generic
-# kernel against the scalar baseline, and the lenient FASTA decoder
-# against arbitrary input, for a few seconds each.
+# kernel against the scalar baseline, the three search scenarios and
+# their 8/16/32-bit saturation ladder against the same baseline, and
+# the lenient FASTA decoder against arbitrary input, for a few seconds
+# each.
 fuzz:
 	$(GO) test -fuzz=FuzzAlignWidths -fuzztime=10s -run FuzzAlignWidths ./internal/core
 	$(GO) test -fuzz=FuzzNativeVsModeled -fuzztime=10s -run FuzzNativeVsModeled ./internal/core
 	$(GO) test -fuzz=FuzzKernelsVsDiagonal -fuzztime=10s -run FuzzKernelsVsDiagonal ./internal/core
+	$(GO) test -fuzz=FuzzSearchScenarios -fuzztime=10s -run FuzzSearchScenarios ./internal/sched
 	$(GO) test -fuzz=FuzzFASTADecode -fuzztime=10s -run FuzzFASTADecode ./internal/seqio
 
 # Figure + kernel benchmarks with allocation reporting.

@@ -71,7 +71,7 @@ func main() {
 		connect    = flag.String("connect", "", "connect to this address (client mode)")
 		dbPath     = flag.String("db", "", "database FASTA (server mode)")
 		genDB      = flag.Int("gen-db", 0, "serve a synthetic database of this size instead of -db")
-		batch      = flag.Int("batch", 8, "queries to accumulate before computing")
+		batch      = flag.Int("batch", 8, "maximum queries per batch; a batch takes what is already queued, up to this, and computes at once")
 		query      = flag.String("query", "", "query FASTA (client mode; all records are submitted)")
 		top        = flag.Int("top", 5, "hits per query (client mode)")
 		threads    = flag.Int("threads", 0, "worker threads (server mode)")
@@ -151,9 +151,9 @@ type serverConfig struct {
 type server struct {
 	al *swvec.Aligner
 	// alDeg is the reduced-capacity aligner batches fall back to under
-	// queue pressure: fewer threads and a depth-1, 256-bit pipeline cap
-	// the compute layer's memory and CPU footprint so the server keeps
-	// absorbing and shedding load instead of thrashing.
+	// queue pressure: half the threads cap the compute layer's CPU
+	// footprint so the server keeps absorbing and shedding load instead
+	// of thrashing.
 	alDeg *swvec.Aligner
 	brk   *cluster.Breaker
 	db    []swvec.Sequence
@@ -232,9 +232,10 @@ func (s *server) Drain(ctx context.Context) {
 }
 
 // newDegradedAligner builds the degraded-mode aligner: half the
-// configured threads (at least one), a depth-1 pipeline, and the
-// 256-bit width. Scores are identical to the primary aligner's — only
-// throughput and footprint shrink.
+// configured threads (at least one). A batch runs SearchAllContext,
+// whose multi-query search builds its own 32-lane batches and
+// worker-sized queue, so threads are its only capacity knob. Scores are
+// identical to the primary aligner's — only throughput shrinks.
 func newDegradedAligner(threads int, backend swvec.Backend, kernel swvec.Kernel) *swvec.Aligner {
 	n := threads
 	if n <= 0 {
@@ -246,8 +247,6 @@ func newDegradedAligner(threads int, backend swvec.Backend, kernel swvec.Kernel)
 	}
 	al, err := swvec.New(
 		swvec.WithThreads(n),
-		swvec.WithPipelineDepth(1),
-		swvec.WithVectorWidth(256),
 		swvec.WithLengthSortedBatches(),
 		swvec.WithBackend(backend),
 		swvec.WithKernel(kernel),

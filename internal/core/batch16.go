@@ -8,12 +8,11 @@ import (
 
 // AlignBatch16 is the 16-bit interleaved batch engine: the same
 // one-sequence-per-lane structure as AlignBatch8 at 16-bit precision
-// (two widened registers per batch column). It is the staged rescue
-// tier for database search — sequences whose 8-bit scores saturate are
-// regrouped into batches and rescored here, keeping the rescue
-// throughput-oriented instead of falling back to per-pair kernels (the
-// production pattern of SWIPE-style engines). A 32-lane batch runs on
-// the 256-bit engine, a 64-lane batch on the 512-bit one.
+// (two widened registers per batch column), for callers that rescore
+// a whole batch of sequences at 16 bits (the SWIPE-style pattern); the
+// search pipeline rescues its few saturated lanes one pair at a time
+// with AlignPair16 instead. A 32-lane batch runs on the 256-bit engine,
+// a 64-lane batch on the 512-bit one.
 //
 // Substitution scores come from the same shuffle tables as the 8-bit
 // engine, widened per column; scores saturate at 32767 (flagged for

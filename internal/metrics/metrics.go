@@ -31,10 +31,11 @@ type Counters struct {
 	Canceled atomic.Int64
 
 	// BatchesProduced counts transposed batches emitted by the
-	// producer; Batches8 and Batches16 count batches actually aligned
-	// by the 8-bit stream and the 16-bit rescue stage (on a canceled
-	// run workers drain without aligning, so Batches8 may trail
-	// BatchesProduced); Pairs32 counts 32-bit escalation alignments.
+	// producer; Batches8 counts batches the 8-bit stage actually
+	// aligned (on a canceled run workers drain without aligning, so
+	// Batches8 may trail BatchesProduced). Batches16 counts 16-bit
+	// rescue alignments, one saturated (query, sequence) pair each, and
+	// Pairs32 counts 32-bit escalation alignments.
 	BatchesProduced atomic.Int64
 	Batches8        atomic.Int64
 	Batches16       atomic.Int64
@@ -46,17 +47,18 @@ type Counters struct {
 	Cells16 atomic.Int64
 	Cells32 atomic.Int64
 
-	// Saturated8 counts lanes whose 8-bit score saturated (and were
-	// handed to the rescue stage); Saturated16 counts lanes that also
+	// Saturated8 counts lanes whose 8-bit score saturated, when the
+	// 8-bit stage detects them; Saturated16 counts rescues that also
 	// overflowed int16 and escalated to the 32-bit pair kernel.
 	Saturated8  atomic.Int64
 	Saturated16 atomic.Int64
 
-	// BatchesDiagonal/BatchesStriped/BatchesLazyF split the aligned
-	// batch counts (8- plus 16-bit stages; 32-bit escalations are
-	// diagonal pairs and excluded) by kernel family, and the CellsKernel*
-	// counters split the real DP cells the same way — the planner's
-	// decisions made observable through Result.Stats and /debug/vars.
+	// BatchesDiagonal/BatchesStriped/BatchesLazyF split Batches8 plus
+	// Batches16 (8-bit batches and 16-bit rescues; 32-bit escalations
+	// are diagonal pairs and excluded) by kernel family, so the three
+	// sum to Batches8+Batches16, and the CellsKernel* counters split the
+	// real DP cells the same way — the planner's decisions made
+	// observable through Result.Stats and /debug/vars.
 	BatchesDiagonal atomic.Int64
 	BatchesStriped  atomic.Int64
 	BatchesLazyF    atomic.Int64
@@ -102,7 +104,7 @@ type Counters struct {
 	// Shed, BreakerTrips, BreakerRejected, and Degraded count the
 	// server's overload responses: requests dropped at the admission
 	// gate, circuit-breaker opens, requests refused while it was open,
-	// and entries into degraded (reduced-width) mode.
+	// and entries into degraded (reduced-thread) mode.
 	Shed            atomic.Int64
 	BreakerTrips    atomic.Int64
 	BreakerRejected atomic.Int64
@@ -244,7 +246,8 @@ func (s Snapshot) ProduceTime() time.Duration { return time.Duration(s.ProduceNa
 // Stage8Time is the summed per-worker wall time in the 8-bit stage.
 func (s Snapshot) Stage8Time() time.Duration { return time.Duration(s.Stage8Nanos) }
 
-// Stage16Time is the summed per-worker wall time in the 16-bit rescue.
+// Stage16Time is the summed per-worker wall time in the 16-bit
+// rescues.
 func (s Snapshot) Stage16Time() time.Duration { return time.Duration(s.Stage16Nanos) }
 
 // Stage32Time is the summed per-worker wall time in the 32-bit

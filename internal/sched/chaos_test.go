@@ -161,9 +161,9 @@ func TestChaosPermanentErrorQuarantines(t *testing.T) {
 	}
 }
 
-// TestChaosRescuePanicQuarantines drives the 16-bit rescue stage over
-// a saturating workload and panics its kernel: the rescued batch is
-// quarantined, the affected hits keep their capped 8-bit score with
+// TestChaosRescuePanicQuarantines drives the 16-bit rescue tier over
+// a saturating workload and panics its kernel once: the rescued
+// sequence is quarantined, its hit keeps the capped 8-bit score with
 // Rescued false, and untouched sequences match the healthy run.
 func TestChaosRescuePanicQuarantines(t *testing.T) {
 	leakcheck.Check(t)
@@ -206,23 +206,23 @@ func TestChaosRescuePanicQuarantines(t *testing.T) {
 	}
 }
 
-// TestChaosGrouperCrashFailsCleanly: a fault in the pipeline's own
-// machinery (the rescue grouper, which has no per-batch error path) is
-// not healable — the search must fail with the panic's error, promptly
-// and without leaking a single goroutine.
-func TestChaosGrouperCrashFailsCleanly(t *testing.T) {
+// TestChaosProducerCrashFailsCleanly: a panic in the pipeline's own
+// machinery (the producer, its one coordinator, which has no per-batch
+// error path) is not healable — the search must fail with the panic's
+// error, promptly and without leaking a single goroutine.
+func TestChaosProducerCrashFailsCleanly(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
 	db, query := rescueDB(605)
-	if err := failpoint.Enable("sched/rescue", "error(grouper bug):first=1"); err != nil {
+	if err := failpoint.Enable("sched/produce", "panic(producer bug):after=1"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := Search(query, db, b62, chaosOpt())
 	if err == nil {
 		t.Fatal("crashed coordinator did not fail the search")
 	}
-	if !strings.Contains(err.Error(), "rescue-grouper") || !strings.Contains(err.Error(), "grouper bug") {
-		t.Errorf("err = %v, want the rescue-grouper panic", err)
+	if !strings.Contains(err.Error(), "produce") || !strings.Contains(err.Error(), "producer bug") {
+		t.Errorf("err = %v, want the producer panic", err)
 	}
 	if res != nil {
 		t.Errorf("crashed search returned a result: %+v", res)
@@ -291,6 +291,58 @@ func TestChaosMultiSearchQuarantines(t *testing.T) {
 	}
 	if res.Stats.Quarantined != int64(len(res.Quarantined)) {
 		t.Errorf("Stats.Quarantined = %d, report has %d", res.Stats.Quarantined, len(res.Quarantined))
+	}
+}
+
+// TestChaosMultiSearchRescueQuarantines arms the 16-bit rescue tier
+// with a permanent fault under MultiSearch: every saturated pair is
+// quarantined at align16 and keeps its capped 8-bit score, and every
+// other score equals a healthy run.
+func TestChaosMultiSearchRescueQuarantines(t *testing.T) {
+	leakcheck.Check(t)
+	defer failpoint.DisableAll()
+	db, query := rescueDB(609)
+	queries := [][]uint8{seqio.NewGenerator(610).Protein("q0", 120).Encode(protAlpha), query}
+	opt := chaosOpt()
+	ref, err := MultiSearch(queries, db, b62, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Rescued == 0 {
+		t.Fatal("setup failure: workload did not saturate the 8-bit stage")
+	}
+	if err := failpoint.Enable("sched/align16", "error(rescue burn)"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := MultiSearch(queries, db, b62, opt)
+	if err != nil {
+		t.Fatalf("multi-search with a failed rescue must degrade, not fail: %v", err)
+	}
+	bad := quarantineSet(t, db, res.Quarantined, "align16", "rescue burn")
+	if len(bad) == 0 {
+		t.Fatal("failed rescue produced no quarantine records")
+	}
+	const capped8 = 127
+	for qi := range queries {
+		for si := range db {
+			got, want := res.Scores[qi][si], ref.Scores[qi][si]
+			if want < capped8 {
+				if got != want {
+					t.Errorf("score [%d][%d] = %d, reference %d", qi, si, got, want)
+				}
+				continue
+			}
+			if !bad[si] {
+				t.Errorf("saturated pair [%d][%d] was not quarantined", qi, si)
+			}
+			if got != capped8 {
+				t.Errorf("quarantined pair [%d][%d] = %d, want the capped 8-bit score %d", qi, si, got, capped8)
+			}
+		}
+	}
+	if res.Stats.Quarantined != int64(len(res.Quarantined)) || res.Stats.Batches16 != 0 {
+		t.Errorf("Stats.Quarantined = %d (report has %d), Batches16 = %d (want 0)",
+			res.Stats.Quarantined, len(res.Quarantined), res.Stats.Batches16)
 	}
 }
 

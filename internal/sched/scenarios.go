@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,7 +21,7 @@ type MultiResult struct {
 	// Scores[qi][si] is the score of query qi against sequence si.
 	Scores [][]int32
 	// Cells counts real DP cells across all query/sequence pairs,
-	// including the 16-bit rescue passes.
+	// including the 16-bit rescue and 32-bit escalation passes.
 	Cells   int64
 	Elapsed time.Duration
 	Rescued int
@@ -32,8 +31,9 @@ type MultiResult struct {
 	Tally *vek.Tally
 	// Quarantined lists database sequences a stage failed on after
 	// retries, sorted by SeqIndex; their Scores entries are zero (whole
-	// batch failed) or the capped 8-bit score (a rescue failed). A
-	// sequence may appear once per failed stage attempt.
+	// batch failed), the capped 8-bit score (the 16-bit rescue failed)
+	// or the capped 16-bit score (the 32-bit tier failed). A sequence
+	// may appear once per failed stage attempt.
 	Quarantined []Quarantine
 }
 
@@ -51,9 +51,12 @@ func (r *MultiResult) GCUPS() float64 {
 // computing). The work unit is a (query, batch) pair, so a batch's
 // transposed layout and score scratch are reused across queries — the
 // data-reuse advantage the paper credits for the scenario's
-// efficiency. Each (query, sequence) cell of the score matrix belongs
-// to exactly one batch, so workers write scores without a lock; only
-// error capture and tally merging synchronize.
+// efficiency. A saturated (query, sequence) pair is rescued on the
+// worker that found it with the same 16/32-bit ladder as Search, so
+// both scenarios return the same scores. Each (query, sequence) cell
+// of the score matrix belongs to exactly one batch, so workers write
+// scores without a lock; only error capture and tally merging
+// synchronize.
 func MultiSearch(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*MultiResult, error) {
 	return MultiSearchContext(context.Background(), queries, db, mat, opt)
 }
@@ -115,21 +118,36 @@ func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Seque
 	// still decides whether the run reports as interrupted.
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	st := &stages{
+		ctx:    ictx,
+		cancel: cancel,
+		met:    &metrics.Counters{},
+		db:     db,
+		alpha:  alpha,
+		mat:    mat,
+		opt:    &opt,
+		kern:   kern,
+		tally:  &vek.Tally{},
+	}
+	st.met.BatchesProduced.Add(int64(len(batches)))
+	// try8 is one guarded multi-query attempt; see pipeline.try8.
+	try8 := func(j job) (brs []core.BatchResult, err error) {
+		defer recoverAttempt("multi8", st.met, &err)
+		if err = failpoint.Inject("sched/multi8"); err != nil {
+			return nil, err
+		}
+		return core.AlignBatch8Multi(j.mch, queries, tables, j.b,
+			core.BatchOptions{Gaps: opt.Gaps, BlockCols: opt.BlockCols, Scratch: j.s, Backend: opt.backend(), Kernel: kern})
+	}
 
 	work := make(chan *seqio.Batch, nw)
-	var mu sync.Mutex
-	var firstErr error
-	met := &metrics.Counters{}
-	met.BatchesProduced.Add(int64(len(batches)))
-	merged := &vek.Tally{}
 	var wg sync.WaitGroup
-
 	start := time.Now()
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer scenarioGuard(cancel, &mu, &firstErr)
+			defer st.guard("worker")
 			mch := vek.Bare
 			var tal *vek.Tally
 			if opt.Instrument {
@@ -144,52 +162,42 @@ func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Seque
 					continue
 				}
 				t8 := time.Now()
-				brs, err := multiAlign8(ictx, mch, queries, tables, batch, &opt, kern, scratch, met)
+				brs, err := retry(st, try8, job{mch: mch, s: scratch, b: batch})
 				if err != nil {
 					// Quarantine just this batch's sequences (for every
 					// query); the rest of the matrix still fills in.
-					for lane := 0; lane < batch.Count; lane++ {
-						quarantineMultiSeq(res, &mu, met, db, "multi8", batch.Index[lane], err)
-					}
+					st.quarantineBatch("multi8", batch, err)
 					continue
 				}
-				met.Batches8.Add(1)
-				tallyKernel(met, kern, 1, 0)
-				met.Stage8Nanos.Add(int64(time.Since(t8)))
-				for qi := range queries {
-					met.Cells8.Add(batch.Cells(len(queries[qi])))
-					tallyKernel(met, kern, 0, batch.Cells(len(queries[qi])))
+				st.met.Batches8.Add(1)
+				tallyKernel(st.met, kern, 1, 0)
+				for qi, q := range queries {
+					cells := batch.Cells(len(q))
+					st.met.Cells8.Add(cells)
+					tallyKernel(st.met, kern, 0, cells)
 					for lane := 0; lane < batch.Count; lane++ {
-						si := batch.Index[lane]
-						score := brs[qi].Scores[lane]
-						if brs[qi].Saturated[lane] && ictx.Err() == nil {
-							t16 := time.Now()
-							enc = alpha.EncodeTo(enc, db[si].Residues)
-							pr, err := multiRescue16(mch, queries[qi], enc, mat, &opt, kern, scratch, met)
-							if err == nil {
-								score = pr.Score
-								met.Saturated8.Add(1)
-								met.Cells16.Add(int64(len(queries[qi])) * int64(len(enc)))
-								tallyKernel(met, kern, 0, int64(len(queries[qi]))*int64(len(enc)))
-							} else {
-								// The capped 8-bit score stands in; flag
-								// it as untrustworthy.
-								quarantineMultiSeq(res, &mu, met, db, "multi16", si, err)
-							}
-							met.Stage16Nanos.Add(int64(time.Since(t16)))
+						res.Scores[qi][batch.Index[lane]] = brs[qi].Scores[lane]
+						if brs[qi].Saturated[lane] {
+							st.met.Saturated8.Add(1)
 						}
-						res.Scores[qi][si] = score
+					}
+				}
+				st.met.Stage8Nanos.Add(int64(time.Since(t8)))
+				for qi, q := range queries {
+					for lane := 0; lane < batch.Count; lane++ {
+						if !brs[qi].Saturated[lane] {
+							continue
+						}
+						si := batch.Index[lane]
+						var score int32
+						var ok bool
+						if score, ok, enc = st.rescue(mch, scratch, q, si, enc); ok {
+							res.Scores[qi][si] = score
+						}
 					}
 				}
 			}
-			if tal != nil {
-				mu.Lock()
-				merged.Merge(tal)
-				mu.Unlock()
-			}
-			met.ProfileCacheHits.Add(scratch.TakeProfileCacheHits())
-			// Per search, as in the pipeline worker.
-			putScratch(scratch, met.PanicsRecovered.Load() > 0)
+			st.retire(tal, scratch)
 		}()
 	}
 	for _, b := range batches {
@@ -201,99 +209,23 @@ func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Seque
 	close(work)
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	sort.Slice(res.Quarantined, func(i, j int) bool {
-		return res.Quarantined[i].SeqIndex < res.Quarantined[j].SeqIndex
-	})
 
-	met.Searches.Add(1)
-	cancelErr := ctx.Err()
-	if cancelErr != nil {
-		met.Canceled.Add(1)
-	}
-	snap := met.Snapshot()
+	snap, cancelErr := st.finish(ctx)
 	res.Stats = snap
 	res.Cells = snap.Cells()
 	res.Rescued = int(snap.Saturated8)
+	res.Quarantined = st.quarantined
 	if opt.Instrument {
-		res.Tally = merged
+		res.Tally = st.tally
 	}
-	metrics.Global.Add(snap)
-	if firstErr != nil {
-		return nil, firstErr
+	if st.err != nil {
+		return nil, st.err
 	}
 	if cancelErr != nil {
 		return res, fmt.Errorf("sched: multi-search interrupted after %d/%d batches: %w",
 			snap.Batches8, len(batches), cancelErr)
 	}
 	return res, nil
-}
-
-// scenarioGuard is the last-resort recovery for scenario workers: a
-// panic that reaches it escaped the per-batch recovery, which means a
-// scheduler bug rather than a kernel fault. The crash is recorded as
-// the run's error and the feed is canceled so the batch sender cannot
-// block on dead consumers. Installed directly with defer so recover
-// sees the panic.
-func scenarioGuard(cancel context.CancelFunc, mu *sync.Mutex, firstErr *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	mu.Lock()
-	if *firstErr == nil {
-		*firstErr = &panicError{stage: "worker", val: r}
-	}
-	mu.Unlock()
-	cancel()
-}
-
-// quarantineMultiSeq records one sequence a multi-search stage failed
-// on; the rest of the score matrix still fills in.
-func quarantineMultiSeq(res *MultiResult, mu *sync.Mutex, met *metrics.Counters, db []seqio.Sequence, stage string, si int, cause error) {
-	met.Quarantined.Add(1)
-	mu.Lock()
-	res.Quarantined = append(res.Quarantined, Quarantine{
-		SeqIndex: si,
-		ID:       db[si].ID,
-		Stage:    stage,
-		Cause:    cause.Error(),
-	})
-	mu.Unlock()
-}
-
-// multiAlign8 runs one 8-bit multi-query batch with the stage retry
-// policy (see align8): panics surface as errors through the per-attempt
-// recovery, transient errors back off and retry, and the surviving
-// error quarantines the batch.
-func multiAlign8(ctx context.Context, mch vek.Machine, queries [][]uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *Options, kern core.Kernel, scratch *core.Scratch, met *metrics.Counters) ([]core.BatchResult, error) {
-	brs, err := tryMultiAlign8(mch, queries, tables, batch, opt, kern, scratch, met)
-	for attempt := 0; err != nil && transient(err) && attempt < maxStageRetries; attempt++ {
-		if !backoffCtx(ctx, attempt) {
-			break
-		}
-		met.Retries.Add(1)
-		brs, err = tryMultiAlign8(mch, queries, tables, batch, opt, kern, scratch, met)
-	}
-	return brs, err
-}
-
-// tryMultiAlign8 is one guarded multi-query attempt.
-func tryMultiAlign8(mch vek.Machine, queries [][]uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *Options, kern core.Kernel, scratch *core.Scratch, met *metrics.Counters) (brs []core.BatchResult, err error) {
-	defer recoverAttempt("multi8", met, &err)
-	if err = failpoint.Inject("sched/multi8"); err != nil {
-		return nil, err
-	}
-	return core.AlignBatch8Multi(mch, queries, tables, batch,
-		core.BatchOptions{Gaps: opt.Gaps, BlockCols: opt.BlockCols, Scratch: scratch, Backend: opt.backend(), Kernel: kern})
-}
-
-// multiRescue16 is one guarded 16-bit rescue of a saturated
-// (query, sequence) pair in the multi-query scenario.
-func multiRescue16(mch vek.Machine, q, enc []uint8, mat *submat.Matrix, opt *Options, kern core.Kernel, scratch *core.Scratch, met *metrics.Counters) (pr aln.ScoreResult, err error) {
-	defer recoverAttempt("multi16", met, &err)
-	pr, _, err = core.AlignPair16(mch, q, enc, mat,
-		core.PairOptions{Gaps: opt.Gaps, Scratch: scratch, Backend: opt.backend(), Kernel: kern})
-	return pr, err
 }
 
 // alignPairJob runs one subroutine pair with panic recovery so a
@@ -378,7 +310,7 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 		}
 	}
 
-	type job struct{ qi, si int }
+	type pairIndex struct{ qi, si int }
 	nw := opt.threads()
 	if nw > len(queries)*len(db) {
 		nw = len(queries) * len(db)
@@ -390,12 +322,10 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 	// the send loop cannot block on dead consumers.
 	ictx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	st := &stages{ctx: ictx, cancel: cancel, tally: &vek.Tally{}}
 
-	work := make(chan job, nw)
+	work := make(chan pairIndex, nw)
 	hits := make([]PairHit, len(queries)*len(db))
-	var mu sync.Mutex
-	var firstErr error
-	merged := &vek.Tally{}
 	var wg sync.WaitGroup
 
 	start := time.Now()
@@ -403,7 +333,7 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer scenarioGuard(cancel, &mu, &firstErr)
+			defer st.guard("worker")
 			mch := vek.Bare
 			var tal *vek.Tally
 			if opt.Instrument {
@@ -420,19 +350,15 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 				hit, err := alignPairJob(mch, queries[jb.qi], encoded[jb.si], mat, jb.qi, jb.si, traceback, &opt, scratch)
 				if err != nil {
 					failed = true
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
+					st.fail(err)
 					continue
 				}
 				hits[jb.qi*len(encoded)+jb.si] = hit
 			}
 			if tal != nil {
-				mu.Lock()
-				merged.Merge(tal)
-				mu.Unlock()
+				st.mu.Lock()
+				st.tally.Merge(tal)
+				st.mu.Unlock()
 			}
 			metrics.Global.ProfileCacheHits.Add(scratch.TakeProfileCacheHits())
 			putScratch(scratch, failed)
@@ -441,7 +367,7 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 	for qi := range queries {
 		for si := range encoded {
 			select {
-			case work <- job{qi: qi, si: si}:
+			case work <- pairIndex{qi: qi, si: si}:
 			case <-ictx.Done():
 			}
 		}
@@ -451,10 +377,10 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 	res.Elapsed = time.Since(start)
 	res.Hits = hits
 	if opt.Instrument {
-		res.Tally = merged
+		res.Tally = st.tally
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if st.err != nil {
+		return nil, st.err
 	}
 	return res, nil
 }

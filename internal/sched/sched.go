@@ -6,9 +6,11 @@
 // performance model.
 //
 // Scenario 1 runs as a streaming pipeline: a producer transposes
-// database batches on demand, one shared worker pool drains the 8-bit,
-// 16-bit, and 32-bit stages concurrently, and saturated lanes are
-// regrouped and rescued in flight instead of behind global barriers.
+// database batches on demand into one work queue, and a worker pool
+// aligns them at 8 bits. The worker that finds a saturated lane
+// rescues it on its own, right after the batch, at 16 and then 32
+// bits; scenario 2 runs the same rescue. Neither scenario queues
+// saturations between goroutines.
 package sched
 
 import (
@@ -31,7 +33,7 @@ import (
 	"swvec/internal/vek"
 )
 
-// Retry policy for transient stage failures: a batch gets
+// Retry policy for transient stage failures: a batch or pair gets
 // 1+maxStageRetries attempts, with exponential backoff starting at
 // retryBase and capped at retryMax. The delays are deliberately small —
 // a transient fault here is a resource blip, not a remote call.
@@ -59,11 +61,11 @@ type Options struct {
 	// count). Deeper queues smooth uneven batch costs at the price of
 	// more transposed batches in flight.
 	PipelineDepth int
-	// Width is the vector register width of the batch engines in bits:
-	// 256 (32-lane batches), 512 (64-lane batches), or 0 to resolve
-	// from the native architecture model (512 when
-	// isa.Native().HasAVX512, else 256). Every stage of the pipeline —
-	// 8-bit stream, 16-bit rescue — runs at the resolved width.
+	// Width is the vector register width of the pipeline's 8-bit batch
+	// engine in bits: 256 (32-lane batches), 512 (64-lane batches), or
+	// 0 to resolve from the native architecture model (512 when
+	// isa.Native().HasAVX512, else 256). The 16- and 32-bit rescues
+	// align one pair at a time on the pair kernels, whatever the width.
 	Width int
 	// Backend selects the execution backend for every alignment stage.
 	// BackendAuto resolves to the compiled native kernels unless
@@ -131,18 +133,19 @@ type Hit struct {
 	Rescued bool
 }
 
-// Quarantine is one database sequence the pipeline isolated after an
-// alignment stage failed on its batch — a kernel panic the stage
-// recovered, or an error that survived the transient-retry policy. The
-// rest of the search completes normally; the caller decides whether to
-// rerun the quarantined ids.
+// Quarantine is one database sequence a search isolated after an
+// alignment stage failed on its batch or, in a rescue, on its pair — a
+// kernel panic the stage recovered, or an error that survived the
+// transient-retry policy. The rest of the search completes normally;
+// the caller decides whether to rerun the quarantined ids.
 type Quarantine struct {
 	// SeqIndex is the sequence's position in the database slice.
 	SeqIndex int
 	// ID is the sequence's FASTA identifier.
 	ID string
-	// Stage names the pipeline stage that failed: "align8", "align16",
-	// or "align32".
+	// Stage names the stage that failed: "align8" (or "multi8" in a
+	// multi-query search) for the 8-bit batch, "align16" and "align32"
+	// for the rescue tiers.
 	Stage string
 	// Cause is the final error after retries were exhausted.
 	Cause string
@@ -175,11 +178,12 @@ type Result struct {
 	// Tally is the merged operation tally when Options.Instrument is
 	// set, else nil.
 	Tally *vek.Tally
-	// Quarantined lists database sequences whose batch failed an
-	// alignment stage after retries, sorted by SeqIndex. Their Hits
-	// entries hold the last score the pipeline computed for them (zero
-	// if the 8-bit stage never scored them, the capped 8-bit score if a
-	// rescue failed). Empty on a fully healthy run.
+	// Quarantined lists database sequences whose batch or rescue failed
+	// an alignment stage after retries, sorted by SeqIndex. Their Hits
+	// entries hold the last score the pipeline computed for them: zero
+	// if the 8-bit stage never scored them, the capped 8-bit score if
+	// the 16-bit rescue failed, the capped 16-bit score if the 32-bit
+	// tier failed. Empty on a fully healthy run.
 	Quarantined []Quarantine
 }
 
@@ -194,28 +198,22 @@ func (r *Result) GCUPS() float64 {
 }
 
 // Search aligns one query against every database sequence (Scenario 1)
-// with the staged variable-bitwidth pipeline, restructured as a single
-// streaming dataflow:
+// with the staged variable-bitwidth pipeline, run as a single streaming
+// dataflow:
 //
-//	producer ──work8──▶ ┌─────────────┐ ──▶ Hits (direct writes)
-//	                    │             │
-//	     sat8 ◀─────────│ worker pool │
-//	      │             │  (shared by │
-//	grouper ──work16──▶ │ all stages) │ ──▶ Hits
-//	     sat16 ◀────────│             │
-//	      │             │             │
-//	dispatch ──work32─▶ └─────────────┘ ──▶ Hits
+//	producer ──work8──▶ worker pool ──▶ Hits
+//	                    each worker: one 8-bit batch, then per
+//	                    saturated lane 16-bit pair ─▶ 32-bit pair
 //
 // The producer transposes batches on demand at the resolved vector
 // width — 32 lanes for 256-bit, 64 for 512-bit (a large database
 // never materializes all batches at once) and recycles batch buffers
-// returned by the workers. Sequences whose 8-bit scores saturate are
-// regrouped into fresh 16-bit batches and rescored by the same worker
-// pool while the 8-bit stage is still streaming; anything beyond int16
-// finishes on the 32-bit pair kernel, also on the pool. Every database
-// index is written by exactly one lane per stage and each cross-stage
-// handoff flows through a channel, so Hits needs no lock: the channel
-// edges order the 8-bit write of an index before its rescue rewrite.
+// returned by the workers. A worker aligns a batch at 8 bits, then
+// rescues each lane that saturated on its own at 16 bits, and at 32
+// bits past int16, before it takes the next batch. Every database
+// index belongs to exactly one batch, and the one worker that aligned
+// that batch writes both its 8-bit score and its rescue, so Hits needs
+// no lock.
 func Search(query []uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*Result, error) {
 	return SearchContext(context.Background(), query, db, mat, opt)
 }
@@ -231,11 +229,13 @@ func Search(query []uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options)
 // how far each stage got. No goroutines outlive the call.
 //
 // The pipeline is self-healing (DESIGN.md §12): a kernel panic or
-// alignment error on one batch is recovered inside the stage, retried
-// with bounded backoff when transient, and otherwise quarantines just
-// that batch's sequences into Result.Quarantined while every other
-// sequence completes normally. Only a fault in the pipeline's own
-// machinery (producer, coordinators) fails the whole search.
+// alignment error on one batch or rescue is recovered inside the
+// stage, retried with bounded backoff when transient, and otherwise
+// quarantines just that batch's or pair's sequences into
+// Result.Quarantined while every other sequence completes normally.
+// Only a fault in the pipeline's own machinery (the producer, or a
+// panic that escapes a worker's per-attempt recovery) fails the whole
+// search.
 func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*Result, error) {
 	if len(query) == 0 {
 		return nil, fmt.Errorf("sched: empty query")
@@ -265,7 +265,6 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 	if nw < 1 {
 		nw = 1
 	}
-	depth := opt.depth(nw)
 
 	// The internal context lets a pipeline crash (a panic the per-batch
 	// recovery could not absorb) cancel the dataflow without the caller
@@ -278,34 +277,32 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 	kern := opt.kernel(len(query), mat, opt.backend(), batchPadRatio(db, lanes, opt.SortByLength))
 	res.Kernel = kern
 	p := &pipeline{
-		ctx:     ictx,
-		cancel:  cancel,
-		crashed: make(chan struct{}),
-		query:   query,
-		db:      db,
-		alpha:   alpha,
-		mat:     mat,
-		tables:  submat.NewCodeTables(mat),
-		opt:     &opt,
-		res:     res,
-		lanes:   lanes,
-		kern:    kern,
-		stream:  seqio.NewBatchStream(db, alpha, seqio.BatchOptions{SortByLength: opt.SortByLength, Lanes: lanes}),
-		work8:   make(chan *seqio.Batch, depth),
-		sat8:    make(chan int, depth),
-		work16:  make(chan *seqio.Batch, depth),
-		sat16:   make(chan int, depth),
-		work32:  make(chan int, depth),
-		met:     &metrics.Counters{},
-		tally:   &vek.Tally{},
+		stages: stages{
+			ctx:    ictx,
+			cancel: cancel,
+			met:    &metrics.Counters{},
+			db:     db,
+			alpha:  alpha,
+			mat:    mat,
+			opt:    &opt,
+			kern:   kern,
+			tally:  &vek.Tally{},
+		},
+		query:  query,
+		tables: submat.NewCodeTables(mat),
+		res:    res,
+		stream: seqio.NewBatchStream(db, alpha, seqio.BatchOptions{SortByLength: opt.SortByLength, Lanes: lanes}),
+		work8:  make(chan *seqio.Batch, opt.depth(nw)),
 	}
 
 	start := time.Now()
-	p.cwg.Add(3)
-	go p.produce()
-	go p.groupRescues()
-	go p.dispatch32()
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer p.guard("produce")
+		p.produce()
+	}()
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func() {
@@ -315,119 +312,78 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 		}()
 	}
 	wg.Wait()
-	p.cwg.Wait()
 	res.Elapsed = time.Since(start)
 
-	// All writers have quiesced: snapshot once, derive the aggregate
-	// fields from it so Result and Result.Stats can never disagree,
-	// and fold the search into the process-wide totals.
-	p.met.Searches.Add(1)
-	cancelErr := ctx.Err()
-	if cancelErr != nil {
-		p.met.Canceled.Add(1)
-	}
-	snap := p.met.Snapshot()
+	// All writers have quiesced: derive the aggregate fields from the
+	// one snapshot so Result and Result.Stats can never disagree.
+	snap, cancelErr := p.finish(ctx)
 	res.Stats = snap
 	res.Cells = snap.Cells()
 	res.Rescued = int(snap.Saturated8)
-	// Workers append quarantine records in completion order; sort so
-	// the report is deterministic for callers and tests.
-	sort.Slice(res.Quarantined, func(i, j int) bool {
-		return res.Quarantined[i].SeqIndex < res.Quarantined[j].SeqIndex
-	})
+	res.Quarantined = p.quarantined
 	if opt.Instrument {
 		res.Tally = p.tally
 	}
-	metrics.Global.Add(snap)
 	if p.err != nil {
 		return nil, p.err
 	}
 	if cancelErr != nil {
 		return res, fmt.Errorf("sched: search interrupted after %d/%d batches: %w",
-			snap.Batches8, (len(db)+lanes-1)/lanes, cancelErr)
+			snap.Batches8, nbatches, cancelErr)
 	}
 	return res, nil
 }
 
-// pipeline carries the streaming search dataflow state. The three
-// coordinator goroutines (produce, groupRescues, dispatch32) feed one
-// shared worker pool; see Search for the shape.
-type pipeline struct {
-	// ctx cancels the dataflow: the producer stops emitting, and the
-	// stage runners short-circuit into drain mode, so every channel
-	// still closes in the usual order and no goroutine leaks. It is the
-	// caller's context wrapped with cancel, so a pipeline crash can
-	// abort the dataflow too.
+// stages is what the alignment stages of one search share, in the
+// Search pipeline and in MultiSearch alike: the search's context and
+// counters, its inputs and kernel plan, and the failure and quarantine
+// report its workers write under mu.
+type stages struct {
+	// ctx stops the search: the producer stops emitting, the stage
+	// runners drop into drain mode, and retry backoff gives up. It is
+	// the caller's context wrapped with cancel, so a crashed goroutine
+	// can stop the search too.
 	ctx    context.Context
 	cancel context.CancelFunc
-	query  []uint8
-	db     []seqio.Sequence
-	alpha  *alphabet.Alphabet
-	mat    *submat.Matrix
-	tables *submat.CodeTables
-	opt    *Options
-	res    *Result
-	lanes  int
-	// kern is the planner's resolved kernel family for this search; the
-	// batch stages pass it through BatchOptions.
-	kern   core.Kernel
-	stream *seqio.BatchStream
+	// met tallies the per-stage counters (one atomic add per batch or
+	// rescued pair); finish snapshots it after the pool drains.
+	met   *metrics.Counters
+	db    []seqio.Sequence
+	alpha *alphabet.Alphabet
+	mat   *submat.Matrix
+	opt   *Options
+	// kern is the planner's resolved kernel family for the search's 8-
+	// and 16-bit alignments.
+	kern core.Kernel
 
-	// work8/work16/work32 carry stage jobs to the pool; sat8/sat16
-	// carry saturated database indices to the next stage's feeder.
-	work8  chan *seqio.Batch
-	sat8   chan int
-	work16 chan *seqio.Batch
-	sat16  chan int
-	work32 chan int
-
-	// wg8/wg16 count outstanding stage-1/stage-2 jobs so the feeders
-	// know when no further saturations can arrive.
-	wg8, wg16 sync.WaitGroup
-
-	// cwg tracks the three coordinator goroutines (produce,
-	// groupRescues, dispatch32) so Search provably outlives them.
-	// Workers draining the closed channels already implies the
-	// coordinators have finished their sends, but not that the
-	// goroutines themselves have exited.
-	cwg sync.WaitGroup
-
-	// met tallies the per-stage counters (one atomic add per batch);
-	// Search snapshots it into Result.Stats after the pool drains.
-	met *metrics.Counters
-
-	// crashed is closed (once) when a coordinator or worker dies to a
-	// panic the per-batch recovery could not absorb. Stage sends select
-	// on it so surviving goroutines never block on a dead consumer, and
-	// the close rides with an internal-context cancel that stops the
-	// producer.
-	crashed   chan struct{}
-	crashOnce sync.Once
-
-	mu    sync.Mutex
-	err   error
-	tally *vek.Tally
+	mu          sync.Mutex
+	err         error
+	tally       *vek.Tally
+	quarantined []Quarantine
 }
 
-// produce streams transposed batches into the 8-bit stage, then closes
-// the saturation channel once every stage-1 job has fully retired (all
-// wg8.Add calls precede the close of work8, so the Wait is safe).
+// pipeline is the streaming search dataflow of Search: one producer
+// feeding one work queue drained by the worker pool.
+type pipeline struct {
+	stages
+	query  []uint8
+	tables *submat.CodeTables
+	res    *Result
+	stream *seqio.BatchStream
+	// work8 carries transposed batches from the producer to the pool.
+	work8 chan *seqio.Batch
+}
+
+// produce streams transposed batches into the 8-bit stage and closes
+// work8 when the stream ends or the search stops.
 // Cancellation point 1: on ctx.Done the producer stops transposing —
 // no further batches enter the pipeline, which bounds how much drain
 // work the already-queued jobs represent.
 func (p *pipeline) produce() {
-	defer p.cwg.Done()
-	// The close sequence rides in a defer so it still runs when the
-	// producer itself panics: the guard (deferred later, so it runs
-	// first) records the crash and cancels the internal context, the
-	// workers drain the queued batches, and the channels close in the
-	// normal order instead of wedging the pool.
-	defer func() {
-		close(p.work8)
-		p.wg8.Wait()
-		close(p.sat8)
-	}()
-	defer p.guard("produce")
+	// The close rides in a defer so it still runs when the producer
+	// itself panics: the workers drain the queued batches and exit
+	// instead of waiting on a queue nobody closes.
+	defer close(p.work8)
 	for {
 		if p.ctx.Err() != nil {
 			return
@@ -444,7 +400,6 @@ func (p *pipeline) produce() {
 		if b == nil {
 			return
 		}
-		p.wg8.Add(1)
 		// The depth counts the batch being handed over, sampled before
 		// the send: a worker already waiting takes it straight from the
 		// sender, and the channel's length then never shows it.
@@ -454,114 +409,17 @@ func (p *pipeline) produce() {
 			p.met.BatchesProduced.Add(1)
 			p.met.ObserveQueueDepth(depth)
 		case <-p.ctx.Done():
-			p.wg8.Done()
 			p.stream.Recycle(b)
 		}
 	}
 }
 
-// groupRescues regroups saturated 8-bit lanes into fresh 16-bit
-// batches in flight. It keeps finished rescue batches in a local queue
-// and never blocks on work16 while sat8 is open: the worker pool both
-// produces saturations and consumes rescue batches, so an unbuffered
-// handoff here could deadlock the pool against itself.
-func (p *pipeline) groupRescues() {
-	defer p.cwg.Done()
-	group := make([]int, 0, p.lanes)
-	var pending []*seqio.Batch
-	defer func() {
-		if r := recover(); r != nil {
-			// Undo the Adds for rescue batches never handed to the
-			// pool, or the wg16.Wait below can never drain.
-			p.wg16.Add(-len(pending))
-			p.crash(&panicError{stage: "rescue-grouper", val: r})
-		}
-		close(p.work16)
-		p.wg16.Wait()
-		close(p.sat16)
-	}()
-	in := p.sat8
-	for in != nil || len(pending) > 0 {
-		var out chan *seqio.Batch
-		var head *seqio.Batch
-		if len(pending) > 0 {
-			out = p.work16
-			head = pending[0]
-		}
-		select {
-		case si, ok := <-in:
-			if !ok {
-				in = nil
-				if len(group) > 0 {
-					pending = append(pending, p.rescueBatch(group))
-					group = group[:0]
-				}
-				continue
-			}
-			group = append(group, si)
-			if len(group) == p.lanes {
-				pending = append(pending, p.rescueBatch(group))
-				group = group[:0]
-			}
-		case out <- head:
-			pending[0] = nil
-			pending = pending[1:]
-		}
-	}
-}
-
-func (p *pipeline) rescueBatch(members []int) *seqio.Batch {
-	if err := failpoint.Inject("sched/rescue"); err != nil {
-		// The grouper has no per-batch error path — a failure here is a
-		// pipeline bug by construction — so injected errors exercise
-		// the crash guard like any other coordinator panic.
-		panic(err)
-	}
-	b := seqio.MakeBatch(p.db, members, p.alpha, p.lanes)
-	// Add after MakeBatch so a panic inside it leaves no stray count;
-	// the deferred compensation only covers batches already in pending.
-	p.wg16.Add(1)
-	return b
-}
-
-// dispatch32 forwards 16-bit saturations to the 32-bit stage through a
-// local queue, for the same no-blocking reason as groupRescues.
-func (p *pipeline) dispatch32() {
-	defer p.cwg.Done()
-	defer func() {
-		close(p.work32)
-	}()
-	defer p.guard("dispatch32")
-	var pending []int
-	in := p.sat16
-	for in != nil || len(pending) > 0 {
-		var out chan int
-		var head int
-		if len(pending) > 0 {
-			out = p.work32
-			head = pending[0]
-		}
-		select {
-		case si, ok := <-in:
-			if !ok {
-				in = nil
-				continue
-			}
-			pending = append(pending, si)
-		case out <- head:
-			pending = pending[1:]
-		}
-	}
-}
-
-// worker drains all three stages until every channel is closed. Each
-// worker owns its vector machine, tally, scratch arena (on loan from
-// scratchPool), and encode buffer; tallies merge once at exit. Cell
-// counts flow through the per-batch atomic stage counters, so they
-// stay consistent with Result.Stats even on a canceled run. After a
-// cancel the workers keep receiving — the stage runners just drop into
-// drain mode — which lets the producer and feeders retire their
-// waitgroups and close every channel in the normal order.
+// worker drains work8 until the producer closes it. Each worker owns
+// its vector machine, tally, scratch arena (on loan from scratchPool),
+// and encode buffer. Cell counts flow through the per-batch atomic
+// stage counters, so they stay consistent with Result.Stats even on a
+// canceled run. After a cancel the worker keeps receiving — run8 just
+// drops into drain mode — until the producer closes the queue.
 func (p *pipeline) worker() {
 	mch := vek.Bare
 	var tal *vek.Tally
@@ -570,108 +428,182 @@ func (p *pipeline) worker() {
 	}
 	scratch := getScratch()
 	var enc []uint8
-	w8, w16, w32 := p.work8, p.work16, p.work32
-	for w8 != nil || w16 != nil || w32 != nil {
-		select {
-		case b, ok := <-w8:
-			if !ok {
-				w8 = nil
-				continue
-			}
-			p.consume8(mch, scratch, b)
-		case b, ok := <-w16:
-			if !ok {
-				w16 = nil
-				continue
-			}
-			p.consume16(mch, scratch, b)
-		case si, ok := <-w32:
-			if !ok {
-				w32 = nil
-				continue
-			}
-			enc = p.run32(mch, scratch, si, enc)
-		}
+	for b := range p.work8 {
+		enc = p.run8(mch, scratch, b, enc)
 	}
-	if tal != nil {
-		p.mu.Lock()
-		p.tally.Merge(tal)
-		p.mu.Unlock()
-	}
-	p.met.ProfileCacheHits.Add(scratch.TakeProfileCacheHits())
-	// The counter covers the whole search, so a worker may also drop a
-	// clean arena after another worker's panic; dropping is always safe.
-	putScratch(scratch, p.met.PanicsRecovered.Load() > 0)
-}
-
-// consume8 retires one stage-1 job. The Done is deferred so even a
-// panic escaping the stage's own recovery (a scheduler bug, not a
-// kernel fault) balances the stage waitgroup on its way to the worker's
-// crash guard.
-func (p *pipeline) consume8(mch vek.Machine, s *core.Scratch, b *seqio.Batch) {
-	defer p.wg8.Done()
-	p.run8(mch, s, b)
-}
-
-// consume16 retires one rescue job; see consume8.
-func (p *pipeline) consume16(mch vek.Machine, s *core.Scratch, b *seqio.Batch) {
-	defer p.wg16.Done()
-	p.run16(mch, s, b)
+	p.retire(tal, scratch)
 }
 
 // run8 is stage 1: align the batch at 8 bits, write each lane's hit
-// (each database index is owned by exactly one lane), hand saturated
-// lanes to the rescue queue, and recycle the batch buffer. A stage
+// (each database index is owned by exactly one lane), rescue every
+// saturated lane on this worker, and recycle the batch buffer. A stage
 // failure that survives the retry policy quarantines the batch's
-// sequences instead of failing the search.
+// sequences instead of failing the search. enc is the worker's encode
+// buffer for the rescues, returned for reuse.
 // Cancellation point 2: after a cancel the batch is recycled
-// unaligned, and its lanes never enter the rescue queue.
+// unaligned, and its lanes are never rescued.
 //
 //sw:hotpath
-func (p *pipeline) run8(mch vek.Machine, s *core.Scratch, b *seqio.Batch) {
+func (p *pipeline) run8(mch vek.Machine, s *core.Scratch, b *seqio.Batch, enc []uint8) []uint8 {
 	if p.ctx.Err() != nil {
 		p.stream.Recycle(b)
-		return
+		return enc
 	}
 	start := time.Now()
-	br, err := p.align8(mch, s, b)
+	br, err := retry(&p.stages, p.try8, job{mch: mch, s: s, b: b})
 	if err != nil {
 		p.quarantineBatch("align8", b, err)
 		p.stream.Recycle(b)
-		return
+		return enc
 	}
+	cells := b.Cells(len(p.query))
 	p.met.Batches8.Add(1)
-	p.met.Cells8.Add(b.Cells(len(p.query)))
-	p.countKernelBatch(b.Cells(len(p.query)))
+	p.met.Cells8.Add(cells)
+	tallyKernel(p.met, p.kern, 1, cells)
 	for lane := 0; lane < b.Count; lane++ {
-		si := b.Index[lane]
-		p.res.Hits[si].Score = br.Scores[lane]
+		p.res.Hits[b.Index[lane]].Score = br.Scores[lane]
 		if br.Saturated[lane] {
 			p.met.Saturated8.Add(1)
-			select {
-			case p.sat8 <- si:
-			case <-p.crashed:
-				// The rescue grouper died; dropping the handoff keeps
-				// the pool from blocking on a dead consumer. The search
-				// is already failing through the crash error.
-			}
+		}
+	}
+	p.met.Stage8Nanos.Add(int64(time.Since(start)))
+	for lane := 0; lane < b.Count; lane++ {
+		if !br.Saturated[lane] {
+			continue
+		}
+		si := b.Index[lane]
+		var score int32
+		var ok bool
+		if score, ok, enc = p.rescue(mch, s, p.query, si, enc); ok {
+			p.res.Hits[si].Score = score
+			p.res.Hits[si].Rescued = true
 		}
 	}
 	p.stream.Recycle(b)
-	p.met.Stage8Nanos.Add(int64(time.Since(start)))
+	return enc
 }
 
-// countKernelBatch attributes one aligned batch and its cell count to
-// the planner's kernel family, so /debug/vars and Result.Stats expose
-// how much work each family actually did.
-func (p *pipeline) countKernelBatch(cells int64) {
-	tallyKernel(p.met, p.kern, 1, cells)
+// try8 is one guarded 8-bit attempt; recoverAttempt turns a panicking
+// kernel into an error without unwinding the worker.
+func (p *pipeline) try8(j job) (br core.BatchResult, err error) {
+	defer recoverAttempt("align8", p.met, &err)
+	if err = failpoint.Inject("sched/align8"); err != nil {
+		return br, err
+	}
+	return core.AlignBatch8(j.mch, p.query, p.tables, j.b,
+		core.BatchOptions{Gaps: p.opt.Gaps, BlockCols: p.opt.BlockCols, Scratch: j.s, Backend: p.opt.backend(), Kernel: p.kern})
+}
+
+// rescue is the saturation ladder (PAPER.md §1, point 6) for one pair
+// whose 8-bit score saturated: query q against database sequence si,
+// on the calling worker's machine and arena. The pair is rescored on
+// its own at 16 bits with the planned kernel and, if that saturates
+// too, at 32 bits on the diagonal kernel. A 16-bit rescue counts as
+// one Batches16 item. Each tier runs under the stage retry policy, and
+// a tier that still fails quarantines the sequence under its stage
+// name.
+//
+// ok reports that the 16-bit tier completed; score is then the best
+// score the ladder reached — the capped 16-bit one when the 32-bit
+// tier failed or was canceled. When ok is false the caller keeps the
+// capped 8-bit score. enc is the worker's encode buffer, returned for
+// reuse.
+// Cancellation point 3: a canceled rescue stops before its next tier.
+//
+//sw:hotpath
+func (st *stages) rescue(mch vek.Machine, s *core.Scratch, q []uint8, si int, enc []uint8) (score int32, ok bool, _ []uint8) {
+	if st.ctx.Err() != nil {
+		return 0, false, enc
+	}
+	start := time.Now()
+	enc = st.alpha.EncodeTo(enc, st.db[si].Residues)
+	j := job{mch: mch, s: s, q: q, d: enc}
+	cells := int64(len(q)) * int64(len(enc))
+	r16, err := retry(st, st.try16, j)
+	if err != nil {
+		st.quarantine("align16", si, err)
+		return 0, false, enc
+	}
+	st.met.Batches16.Add(1)
+	st.met.Cells16.Add(cells)
+	tallyKernel(st.met, st.kern, 1, cells)
+	st.met.Stage16Nanos.Add(int64(time.Since(start)))
+	if !r16.Saturated {
+		return r16.Score, true, enc
+	}
+	st.met.Saturated16.Add(1)
+	if st.ctx.Err() != nil {
+		return r16.Score, true, enc
+	}
+	start = time.Now()
+	r32, err := retry(st, st.try32, j)
+	if err != nil {
+		st.quarantine("align32", si, err)
+		return r16.Score, true, enc
+	}
+	st.met.Pairs32.Add(1)
+	st.met.Cells32.Add(cells)
+	// Escalation pairs always run the diagonal kernel (score + position
+	// exactness matters more than throughput at this tier), so their
+	// cells count against the diagonal family regardless of the plan.
+	tallyKernel(st.met, core.KernelDiagonal, 0, cells)
+	st.met.Stage32Nanos.Add(int64(time.Since(start)))
+	return r32.Score, true, enc
+}
+
+// try16 is one guarded 16-bit rescue attempt; see try8.
+func (st *stages) try16(j job) (pr aln.ScoreResult, err error) {
+	defer recoverAttempt("align16", st.met, &err)
+	if err = failpoint.Inject("sched/align16"); err != nil {
+		return pr, err
+	}
+	pr, _, err = core.AlignPair16(j.mch, j.q, j.d, st.mat,
+		core.PairOptions{Gaps: st.opt.Gaps, Scratch: j.s, Backend: st.opt.backend(), Kernel: st.kern})
+	return pr, err
+}
+
+// try32 is one guarded 32-bit escalation attempt; see try8.
+func (st *stages) try32(j job) (pr aln.ScoreResult, err error) {
+	defer recoverAttempt("align32", st.met, &err)
+	if err = failpoint.Inject("sched/align32"); err != nil {
+		return pr, err
+	}
+	return core.AlignPair32(j.mch, j.q, j.d, st.mat,
+		core.PairOptions{Gaps: st.opt.Gaps, Scratch: j.s, Backend: st.opt.backend()})
+}
+
+// job is the input of one stage attempt: the calling worker's vector
+// machine and scratch arena, and what the stage aligns — a batch b on
+// the 8-bit stages, query q against encoded database sequence d on the
+// rescue tiers.
+type job struct {
+	mch  vek.Machine
+	s    *core.Scratch
+	b    *seqio.Batch
+	q, d []uint8
+}
+
+// retry runs one stage alignment under the stage retry policy: a
+// panicking kernel surfaces as an error through the attempt's own
+// recovery, a transient error backs off and retries up to
+// maxStageRetries times, and whatever error survives is returned for
+// quarantine.
+func retry[R any](st *stages, try func(job) (R, error), j job) (R, error) {
+	r, err := try(j)
+	for attempt := 0; err != nil && transient(err) && attempt < maxStageRetries; attempt++ {
+		if !backoffCtx(st.ctx, attempt) {
+			break
+		}
+		st.met.Retries.Add(1)
+		r, err = try(j)
+	}
+	return r, err
 }
 
 // tallyKernel adds batch and cell counts to the per-kernel-family
 // counters. Passing batches=0 attributes cells without counting a
-// batch (pair-at-a-time stages: 32-bit escalations, multi-search
-// rescues).
+// batch: 32-bit escalations, and the per-query cells of a multi-query
+// batch counted once.
 func tallyKernel(met *metrics.Counters, kern core.Kernel, batches, cells int64) {
 	switch kern {
 	case core.KernelStriped:
@@ -684,145 +616,6 @@ func tallyKernel(met *metrics.Counters, kern core.Kernel, batches, cells int64) 
 		met.BatchesDiagonal.Add(batches)
 		met.CellsDiagonal.Add(cells)
 	}
-}
-
-// align8 runs the 8-bit stage with the retry policy: kernel panics
-// surface as errors through the per-attempt recovery, transient errors
-// back off and retry up to maxStageRetries times, and whatever error
-// survives is returned for quarantine.
-func (p *pipeline) align8(mch vek.Machine, s *core.Scratch, b *seqio.Batch) (core.BatchResult, error) {
-	br, err := p.tryAlign8(mch, s, b)
-	for attempt := 0; err != nil && transient(err) && attempt < maxStageRetries; attempt++ {
-		if !backoffCtx(p.ctx, attempt) {
-			break
-		}
-		p.met.Retries.Add(1)
-		br, err = p.tryAlign8(mch, s, b)
-	}
-	return br, err
-}
-
-// tryAlign8 is one guarded 8-bit attempt; recoverTo turns a panicking
-// kernel into an error without unwinding the worker.
-func (p *pipeline) tryAlign8(mch vek.Machine, s *core.Scratch, b *seqio.Batch) (br core.BatchResult, err error) {
-	defer recoverAttempt("align8", p.met, &err)
-	if err = failpoint.Inject("sched/align8"); err != nil {
-		return br, err
-	}
-	return core.AlignBatch8(mch, p.query, p.tables, b,
-		core.BatchOptions{Gaps: p.opt.Gaps, BlockCols: p.opt.BlockCols, Scratch: s, Backend: p.opt.backend(), Kernel: p.kern})
-}
-
-// run16 is the in-flight rescue: rescore a regrouped batch at 16 bits
-// and forward anything still saturated to the 32-bit stage. A failed
-// rescue quarantines the batch — the affected hits keep their capped
-// 8-bit score, which the Quarantine records flag as untrustworthy.
-// Cancellation point 3: a canceled rescue is dropped — the affected
-// hits keep their capped 8-bit score and Rescued stays false.
-//
-//sw:hotpath
-func (p *pipeline) run16(mch vek.Machine, s *core.Scratch, b *seqio.Batch) {
-	if p.ctx.Err() != nil {
-		return
-	}
-	start := time.Now()
-	br, err := p.align16(mch, s, b)
-	if err != nil {
-		p.quarantineBatch("align16", b, err)
-		return
-	}
-	p.met.Batches16.Add(1)
-	p.met.Cells16.Add(b.Cells(len(p.query)))
-	p.countKernelBatch(b.Cells(len(p.query)))
-	for lane := 0; lane < b.Count; lane++ {
-		si := b.Index[lane]
-		p.res.Hits[si].Score = br.Scores[lane]
-		p.res.Hits[si].Rescued = true
-		if br.Saturated[lane] {
-			p.met.Saturated16.Add(1)
-			select {
-			case p.sat16 <- si:
-			case <-p.crashed:
-			}
-		}
-	}
-	p.met.Stage16Nanos.Add(int64(time.Since(start)))
-}
-
-// align16 applies the stage retry policy to the 16-bit rescue; see
-// align8.
-func (p *pipeline) align16(mch vek.Machine, s *core.Scratch, b *seqio.Batch) (core.BatchResult, error) {
-	br, err := p.tryAlign16(mch, s, b)
-	for attempt := 0; err != nil && transient(err) && attempt < maxStageRetries; attempt++ {
-		if !backoffCtx(p.ctx, attempt) {
-			break
-		}
-		p.met.Retries.Add(1)
-		br, err = p.tryAlign16(mch, s, b)
-	}
-	return br, err
-}
-
-// tryAlign16 is one guarded 16-bit attempt; see tryAlign8.
-func (p *pipeline) tryAlign16(mch vek.Machine, s *core.Scratch, b *seqio.Batch) (br core.BatchResult, err error) {
-	defer recoverAttempt("align16", p.met, &err)
-	if err = failpoint.Inject("sched/align16"); err != nil {
-		return br, err
-	}
-	return core.AlignBatch16(mch, p.query, p.tables, b,
-		core.BatchOptions{Gaps: p.opt.Gaps, Scratch: s, Backend: p.opt.backend(), Kernel: p.kern})
-}
-
-// run32 is the final escalation tier: one 32-bit pair alignment per
-// still-saturated sequence, parallel across the pool. Cancellation
-// point 4: canceled escalations are skipped the same way.
-//
-//sw:hotpath
-func (p *pipeline) run32(mch vek.Machine, s *core.Scratch, si int, enc []uint8) []uint8 {
-	if p.ctx.Err() != nil {
-		return enc
-	}
-	start := time.Now()
-	enc = p.alpha.EncodeTo(enc, p.db[si].Residues)
-	pr, err := p.align32(mch, s, enc)
-	if err != nil {
-		p.quarantineSeq("align32", si, err)
-		return enc
-	}
-	p.met.Pairs32.Add(1)
-	p.met.Cells32.Add(int64(len(p.query)) * int64(len(enc)))
-	// Escalation pairs always run the diagonal kernel (score + position
-	// exactness matters more than throughput at this tier), so their
-	// cells count against the diagonal family regardless of the plan.
-	tallyKernel(p.met, core.KernelDiagonal, 0, int64(len(p.query))*int64(len(enc)))
-	p.res.Hits[si].Score = pr.Score
-	p.res.Hits[si].Rescued = true
-	p.met.Stage32Nanos.Add(int64(time.Since(start)))
-	return enc
-}
-
-// align32 applies the stage retry policy to one 32-bit escalation; see
-// align8.
-func (p *pipeline) align32(mch vek.Machine, s *core.Scratch, enc []uint8) (aln.ScoreResult, error) {
-	pr, err := p.tryAlign32(mch, s, enc)
-	for attempt := 0; err != nil && transient(err) && attempt < maxStageRetries; attempt++ {
-		if !backoffCtx(p.ctx, attempt) {
-			break
-		}
-		p.met.Retries.Add(1)
-		pr, err = p.tryAlign32(mch, s, enc)
-	}
-	return pr, err
-}
-
-// tryAlign32 is one guarded 32-bit attempt; see tryAlign8.
-func (p *pipeline) tryAlign32(mch vek.Machine, s *core.Scratch, enc []uint8) (pr aln.ScoreResult, err error) {
-	defer recoverAttempt("align32", p.met, &err)
-	if err = failpoint.Inject("sched/align32"); err != nil {
-		return pr, err
-	}
-	return core.AlignPair32(mch, p.query, enc, p.mat,
-		core.PairOptions{Gaps: p.opt.Gaps, Scratch: s, Backend: p.opt.backend()})
 }
 
 // scratchPool recycles worker scratch arenas across searches, so a
@@ -845,6 +638,39 @@ func putScratch(s *core.Scratch, recovered bool) {
 	if !recovered {
 		scratchPool.Put(s)
 	}
+}
+
+// retire ends one worker's part in a search: it merges the worker's
+// tally, counts its profile-cache hits, and returns its arena. The
+// panic counter covers the whole search, so a worker may also drop a
+// clean arena after another worker's panic; dropping is always safe.
+func (st *stages) retire(tal *vek.Tally, s *core.Scratch) {
+	if tal != nil {
+		st.mu.Lock()
+		st.tally.Merge(tal)
+		st.mu.Unlock()
+	}
+	st.met.ProfileCacheHits.Add(s.TakeProfileCacheHits())
+	putScratch(s, st.met.PanicsRecovered.Load() > 0)
+}
+
+// finish closes the books once every worker has quiesced: it counts
+// the search and whether ctx canceled it, sorts the quarantine report
+// by database index so it is deterministic, and folds the snapshot
+// into the process-wide totals. It returns the snapshot and ctx's
+// error.
+func (st *stages) finish(ctx context.Context) (metrics.Snapshot, error) {
+	st.met.Searches.Add(1)
+	cancelErr := ctx.Err()
+	if cancelErr != nil {
+		st.met.Canceled.Add(1)
+	}
+	sort.Slice(st.quarantined, func(i, j int) bool {
+		return st.quarantined[i].SeqIndex < st.quarantined[j].SeqIndex
+	})
+	snap := st.met.Snapshot()
+	metrics.Global.Add(snap)
+	return snap, cancelErr
 }
 
 // recoverAttempt converts a panic escaping a stage attempt into the
@@ -890,65 +716,56 @@ func backoffCtx(ctx context.Context, attempt int) bool {
 	}
 }
 
-// quarantineSeq records one sequence a stage failed on; the search
+// quarantine records one sequence a stage failed on; the search
 // continues without it.
-func (p *pipeline) quarantineSeq(stage string, si int, cause error) {
-	p.met.Quarantined.Add(1)
-	p.mu.Lock()
+func (st *stages) quarantine(stage string, si int, cause error) {
+	st.met.Quarantined.Add(1)
+	st.mu.Lock()
 	//swlint:ignore hotpathalloc quarantine is the cold path: a stage already failed and exhausted its retries
-	p.res.Quarantined = append(p.res.Quarantined, Quarantine{
+	st.quarantined = append(st.quarantined, Quarantine{
 		SeqIndex: si,
-		ID:       p.db[si].ID,
+		ID:       st.db[si].ID,
 		Stage:    stage,
 		Cause:    cause.Error(),
 	})
-	p.mu.Unlock()
+	st.mu.Unlock()
 }
 
 // quarantineBatch quarantines every member of a failed batch.
-func (p *pipeline) quarantineBatch(stage string, b *seqio.Batch, cause error) {
+func (st *stages) quarantineBatch(stage string, b *seqio.Batch, cause error) {
 	for lane := 0; lane < b.Count; lane++ {
-		p.quarantineSeq(stage, b.Index[lane], cause)
+		st.quarantine(stage, b.Index[lane], cause)
 	}
 }
 
-// guard is the last-resort recovery for the pipeline goroutines: a
-// panic that reaches it escaped the per-batch recovery, which means a
-// scheduler bug rather than a kernel fault. The pipeline cannot heal
-// around a dead coordinator, so the crash fails the search — but
-// cleanly: the error is recorded, the dataflow is canceled, and every
-// goroutine still unwinds through its deferred close sequence instead
-// of deadlocking the pool.
-func (p *pipeline) guard(stage string) {
+// guard is the last-resort recovery for a search's goroutines: a
+// panic that reaches it escaped the per-attempt recovery, which means
+// a scheduler bug rather than a kernel fault. The search cannot heal
+// around it, so the crash fails the search — but cleanly: the error is
+// recorded, the search is canceled, and every goroutine still unwinds
+// through its deferred close instead of deadlocking the pool.
+// Installed directly with defer so recover sees the panic.
+func (st *stages) guard(stage string) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	p.crash(&panicError{stage: stage, val: r})
+	st.fail(&panicError{stage: stage, val: r})
+	st.cancel()
 }
 
-// crash records a fatal pipeline error, cancels the internal context so
-// the producer stops, and unblocks every stage send waiting on a dead
-// consumer via the crashed channel.
-func (p *pipeline) crash(err error) {
-	p.fail(err)
-	p.crashOnce.Do(func() {
-		p.cancel()
-		close(p.crashed)
-	})
-}
-
-func (p *pipeline) fail(err error) {
-	p.mu.Lock()
-	if p.err == nil {
-		p.err = err
+// fail records the search's first fatal error.
+func (st *stages) fail(err error) {
+	st.mu.Lock()
+	if st.err == nil {
+		st.err = err
 	}
-	p.mu.Unlock()
+	st.mu.Unlock()
 }
 
 // panicError wraps a recovered panic value as an error so it can ride
 // the normal failure paths: quarantine causes for stage panics, the
-// search error for coordinator crashes.
+// search error for crashes.
 type panicError struct {
 	stage string
 	val   any

@@ -174,32 +174,47 @@ func TestSearchErrors(t *testing.T) {
 
 func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 	g := seqio.NewGenerator(107)
-	db := g.Database(48)
-	queries := [][]uint8{
-		g.Protein("q0", 50).Encode(protAlpha),
-		g.Protein("q1", 120).Encode(protAlpha),
-		g.Protein("q2", 33).Encode(protAlpha),
+	escDB, escQuery := escalationDB(t, 402)
+	cases := []struct {
+		name    string
+		db      []seqio.Sequence
+		queries [][]uint8
+		mat     *submat.Matrix
+	}{
+		{"blosum62", g.Database(48), [][]uint8{
+			g.Protein("q0", 50).Encode(protAlpha),
+			g.Protein("q1", 120).Encode(protAlpha),
+			g.Protein("q2", 33).Encode(protAlpha),
+		}, b62},
+		// The self-hit scores 25*1400 = 35000, past int16: the rescue
+		// must climb to the 32-bit tier in both scenarios.
+		{"escalation", escDB, [][]uint8{escQuery}, submat.MatchMismatch(protAlpha, 25, -8)},
 	}
-	multi, err := MultiSearch(queries, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi.Scores) != len(queries) {
-		t.Fatalf("scores rows = %d", len(multi.Scores))
-	}
-	for qi, q := range queries {
-		single, err := Search(q, db, b62, Options{Gaps: aln.DefaultGaps()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for si := range db {
-			if multi.Scores[qi][si] != single.Hits[si].Score {
-				t.Fatalf("q%d seq%d: multi %d != single %d", qi, si, multi.Scores[qi][si], single.Hits[si].Score)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			multi, err := MultiSearch(c.queries, c.db, c.mat, Options{Gaps: aln.DefaultGaps(), Threads: 4})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if multi.Cells <= 0 {
-		t.Error("cells not counted")
+			if len(multi.Scores) != len(c.queries) {
+				t.Fatalf("scores rows = %d", len(multi.Scores))
+			}
+			for qi, q := range c.queries {
+				single, err := Search(q, c.db, c.mat, Options{Gaps: aln.DefaultGaps()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for si := range c.db {
+					want := baselines.ScalarAffine(q, c.db[si].Encode(protAlpha), c.mat, aln.DefaultGaps()).Score
+					if got := multi.Scores[qi][si]; got != single.Hits[si].Score || got != want {
+						t.Fatalf("q%d seq%d: multi %d, single %d, scalar %d", qi, si, got, single.Hits[si].Score, want)
+					}
+				}
+			}
+			if multi.Cells <= 0 {
+				t.Error("cells not counted")
+			}
+		})
 	}
 }
 

@@ -42,20 +42,19 @@ func TestSearchZeroAlloc(t *testing.T) {
 	ictx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p := &pipeline{
-		ctx:     ictx,
-		cancel:  cancel,
-		crashed: make(chan struct{}),
-		query:   query,
-		db:      db,
-		alpha:   alpha,
-		mat:     b62,
-		tables:  submat.NewCodeTables(b62),
-		opt:     &opt,
-		res:     &Result{Hits: make([]Hit, len(db))},
-		lanes:   32,
-		stream:  seqio.NewBatchStream(db, alpha, seqio.BatchOptions{Lanes: 32}),
-		sat8:    make(chan int, len(db)),
-		met:     &metrics.Counters{},
+		stages: stages{
+			ctx:    ictx,
+			cancel: cancel,
+			met:    &metrics.Counters{},
+			db:     db,
+			alpha:  alpha,
+			mat:    b62,
+			opt:    &opt,
+		},
+		query:  query,
+		tables: submat.NewCodeTables(b62),
+		res:    &Result{Hits: make([]Hit, len(db))},
+		stream: seqio.NewBatchStream(db, alpha, seqio.BatchOptions{Lanes: 32}),
 	}
 	scratch := core.NewScratch()
 	// Two warm batches prime the stream's recycle pool and the scratch
@@ -65,14 +64,14 @@ func TestSearchZeroAlloc(t *testing.T) {
 		if b == nil {
 			t.Fatal("stream exhausted during warm-up")
 		}
-		p.run8(vek.Bare, scratch, b)
+		p.run8(vek.Bare, scratch, b, nil)
 	}
 	allocs := testing.AllocsPerRun(50, func() {
 		b := p.stream.Next()
 		if b == nil {
 			t.Fatal("stream exhausted mid-measurement")
 		}
-		p.run8(vek.Bare, scratch, b)
+		p.run8(vek.Bare, scratch, b, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("run8 allocates %.1f objects per batch on the healthy path", allocs)

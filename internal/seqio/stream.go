@@ -97,9 +97,9 @@ func (s *BatchStream) Recycle(b *Batch) {
 
 // MakeBatch builds one transposed batch of the given lane stride whose
 // lanes are the database positions listed in members (at most lanes
-// entries; lanes <= 0 selects BatchLanes). The rescue stage of the
-// streaming search pipeline uses it to regroup saturated lanes in
-// flight without copying sequences.
+// entries; lanes <= 0 selects BatchLanes), without copying sequences.
+// Kernel benchmarks and profiles use it to batch chosen sequences; the
+// search pipeline rescues saturated lanes one pair at a time instead.
 func MakeBatch(seqs []Sequence, members []int, alpha *alphabet.Alphabet, lanes int) *Batch {
 	if lanes <= 0 {
 		lanes = BatchLanes

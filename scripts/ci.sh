@@ -77,6 +77,9 @@ echo "== fuzz smoke =="
 go test -fuzz=FuzzAlignWidths -fuzztime=10s -run FuzzAlignWidths ./internal/core
 go test -fuzz=FuzzNativeVsModeled -fuzztime=10s -run FuzzNativeVsModeled ./internal/core
 go test -fuzz=FuzzKernelsVsDiagonal -fuzztime=10s -run FuzzKernelsVsDiagonal ./internal/core
+# Scenario level: Search, MultiSearch and Subroutine against the scalar
+# baseline, with scores high enough to reach every saturation tier.
+go test -fuzz=FuzzSearchScenarios -fuzztime=10s -run FuzzSearchScenarios ./internal/sched
 go test -fuzz=FuzzFASTADecode -fuzztime=10s -run FuzzFASTADecode ./internal/seqio
 
 echo "== bench smoke =="

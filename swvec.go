@@ -261,10 +261,10 @@ func WithPipelineDepth(n int) Option {
 }
 
 // WithVectorWidth selects the vector register width of the search
-// pipeline's batch engines: 256 (32-lane batches), 512 (64-lane
+// pipeline's 8-bit batch engine: 256 (32-lane batches), 512 (64-lane
 // batches), or 0 to auto-detect from the native architecture model.
-// Every search stage — 8-bit stream and 16-bit rescue — runs at the
-// selected width through the same generic kernels.
+// The 16- and 32-bit rescues align one pair at a time and do not
+// depend on it, and SearchAll always builds 32-lane batches.
 func WithVectorWidth(bits int) Option {
 	return func(a *Aligner) error {
 		switch bits {
@@ -381,8 +381,9 @@ func (a *Aligner) Align(query, target []byte) (*Alignment, error) {
 
 // Search aligns query against every database sequence with the
 // high-throughput streaming batch pipeline: batches are transposed on
-// demand, the 8-bit, 16-bit, and 32-bit stages overlap on one worker
-// pool, and saturated lanes are rescued in flight.
+// demand and aligned at 8 bits by one worker pool, and the worker that
+// finds a saturated lane rescores it on its own at 16 bits (and at 32
+// past int16) before it takes the next batch.
 func (a *Aligner) Search(query []byte, db []Sequence) (*SearchResult, error) {
 	return a.SearchContext(context.Background(), query, db)
 }
