@@ -66,13 +66,14 @@ perfbench-test:
 # kernel against the scalar baseline, the three search scenarios and
 # their 8/16/32-bit saturation ladder against the same baseline, and
 # the lenient FASTA decoder against arbitrary input, for a few seconds
-# each.
+# each. -fuzzminimizetime caps the minimization of each newly
+# interesting input so it cannot take most of the fuzzing budget.
 fuzz:
-	$(GO) test -fuzz=FuzzAlignWidths -fuzztime=10s -run FuzzAlignWidths ./internal/core
-	$(GO) test -fuzz=FuzzNativeVsModeled -fuzztime=10s -run FuzzNativeVsModeled ./internal/core
-	$(GO) test -fuzz=FuzzKernelsVsDiagonal -fuzztime=10s -run FuzzKernelsVsDiagonal ./internal/core
-	$(GO) test -fuzz=FuzzSearchScenarios -fuzztime=10s -run FuzzSearchScenarios ./internal/sched
-	$(GO) test -fuzz=FuzzFASTADecode -fuzztime=10s -run FuzzFASTADecode ./internal/seqio
+	$(GO) test -fuzz=FuzzAlignWidths -fuzztime=10s -fuzzminimizetime=1s -run FuzzAlignWidths ./internal/core
+	$(GO) test -fuzz=FuzzNativeVsModeled -fuzztime=10s -fuzzminimizetime=1s -run FuzzNativeVsModeled ./internal/core
+	$(GO) test -fuzz=FuzzKernelsVsDiagonal -fuzztime=10s -fuzzminimizetime=1s -run FuzzKernelsVsDiagonal ./internal/core
+	$(GO) test -fuzz=FuzzSearchScenarios -fuzztime=10s -fuzzminimizetime=1s -run FuzzSearchScenarios ./internal/sched
+	$(GO) test -fuzz=FuzzFASTADecode -fuzztime=10s -fuzzminimizetime=1s -run FuzzFASTADecode ./internal/seqio
 
 # Figure + kernel benchmarks with allocation reporting.
 bench:

@@ -233,9 +233,9 @@ func (s *server) Drain(ctx context.Context) {
 
 // newDegradedAligner builds the degraded-mode aligner: half the
 // configured threads (at least one). A batch runs SearchAllContext,
-// whose multi-query search builds its own 32-lane batches and
-// worker-sized queue, so threads are its only capacity knob. Scores are
-// identical to the primary aligner's — only throughput shrinks.
+// whose streaming pipeline sizes its queue at two batches per worker,
+// so threads are its only capacity knob. Scores are identical to the
+// primary aligner's — only throughput shrinks.
 func newDegradedAligner(threads int, backend swvec.Backend, kernel swvec.Kernel) *swvec.Aligner {
 	n := threads
 	if n <= 0 {

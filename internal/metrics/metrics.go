@@ -73,9 +73,9 @@ type Counters struct {
 
 	// QueueHighWater is the deepest the 8-bit work queue ever got,
 	// counting the batch being handed over and capped at the queue's
-	// capacity, so a search that produced any batch reads at least 1 —
-	// a direct read on whether the producer or the workers are the
-	// bottleneck for the configured pipeline depth.
+	// capacity (two batches per worker), so a search that produced any
+	// batch reads at least 1 — a direct read on whether the producer or
+	// the workers are the bottleneck.
 	QueueHighWater atomic.Int64
 
 	// ProduceNanos is wall time spent transposing batches in the

@@ -17,9 +17,10 @@ import (
 )
 
 // TestChaosRecoveredPanicLeavesLaterSearchesExact arms a recovered
-// panic on the 8-bit pipeline stage and on the multi-query stage; the
-// clean searches that follow in the same process, drawing worker
-// arenas from the shared pool, must still match the scalar reference.
+// panic on the 8-bit stage, once under Search and once under
+// MultiSearch; the clean searches that follow in the same process,
+// drawing worker arenas from the shared pool, must still match the
+// scalar reference.
 func TestChaosRecoveredPanicLeavesLaterSearchesExact(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
@@ -34,14 +35,30 @@ func TestChaosRecoveredPanicLeavesLaterSearchesExact(t *testing.T) {
 		}
 	}
 	opt := chaosOpt()
-	for _, site := range []string{"sched/align8", "sched/multi8"} {
+	search := func() error {
+		_, err := Search(queries[0], db, b62, opt)
+		return err
+	}
+	multi := func() error {
+		_, err := MultiSearch(queries, db, b62, opt)
+		return err
+	}
+	const site = "sched/align8"
+	// The first search of each pair takes the one armed panic.
+	for _, armed := range []struct {
+		name          string
+		first, second func() error
+	}{
+		{"Search", search, multi},
+		{"MultiSearch", multi, search},
+	} {
 		if err := failpoint.Enable(site, "panic(arena):first=1"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Search(queries[0], db, b62, opt); err != nil {
+		if err := armed.first(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MultiSearch(queries, db, b62, opt); err != nil {
+		if err := armed.second(); err != nil {
 			t.Fatal(err)
 		}
 		if failpoint.Fired(site) != 1 {
@@ -55,7 +72,7 @@ func TestChaosRecoveredPanicLeavesLaterSearchesExact(t *testing.T) {
 			}
 			for si, h := range res.Hits {
 				if h.Score != want[0][si] {
-					t.Errorf("after %s: Search seq %d scored %d, want %d", site, si, h.Score, want[0][si])
+					t.Errorf("after a %s panic: Search seq %d scored %d, want %d", armed.name, si, h.Score, want[0][si])
 				}
 			}
 			mres, err := MultiSearch(queries, db, b62, opt)
@@ -65,7 +82,7 @@ func TestChaosRecoveredPanicLeavesLaterSearchesExact(t *testing.T) {
 			for qi := range queries {
 				for si, s := range mres.Scores[qi] {
 					if s != want[qi][si] {
-						t.Errorf("after %s: MultiSearch [%d][%d] scored %d, want %d", site, qi, si, s, want[qi][si])
+						t.Errorf("after a %s panic: MultiSearch [%d][%d] scored %d, want %d", armed.name, qi, si, s, want[qi][si])
 					}
 				}
 			}
@@ -123,7 +140,7 @@ func TestChaosPanickedWorkerDropsArena(t *testing.T) {
 		clean, panicking func() error
 	}{
 		{"pipeline", search, armed("sched/align8", search)},
-		{"multi", multi, armed("sched/multi8", multi)},
+		{"multi", multi, armed("sched/align8", multi)},
 		{"subroutine", subroutine(query), func() error {
 			if err := subroutine(corrupt)(); err == nil {
 				return errors.New("corrupt query did not fail")

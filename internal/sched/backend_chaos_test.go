@@ -8,7 +8,6 @@ import (
 	"swvec/internal/core"
 	"swvec/internal/failpoint"
 	"swvec/internal/leakcheck"
-	"swvec/internal/submat"
 )
 
 // TestChaosNativeBackendRetries runs the native backend through the
@@ -19,7 +18,7 @@ func TestChaosNativeBackendRetries(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
 	db, query := escalationDB(t, 605)
-	mat := submat.MatchMismatch(protAlpha, 25, -8)
+	mat := escalationMat
 	opt := chaosOpt()
 	opt.Backend = core.BackendModeled
 	ref, err := Search(query, db, mat, opt)

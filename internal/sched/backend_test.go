@@ -13,17 +13,21 @@ import (
 // coreGlobalProfileHits reads the process-wide profile-cache counter.
 func coreGlobalProfileHits() int64 { return metrics.Global.ProfileCacheHits.Load() }
 
+// escalationMat is the matrix the escalation workloads run under: two
+// matching residues saturate 8 bits, and a 400-residue self-hit scores
+// 120*400 = 48000, past int16.
+var escalationMat = submat.MatchMismatch(protAlpha, 120, -60)
+
 // escalationDB builds a workload that exercises the full saturation
-// ladder through the streaming pipeline: related homologs saturate the
-// 8-bit stage, and (unless short) a long self-hit overflows int16 and
-// escalates to the 32-bit pair kernel.
+// ladder through the streaming pipeline under escalationMat: the random
+// sequences saturate the 8-bit stage and are rescued at 16 bits, and
+// the self-hit and its mutated homolog overflow int16 and escalate to
+// the 32-bit pair kernel. The query is long enough (400 residues) that
+// the planner puts native searches on the striped family.
 func escalationDB(t *testing.T, seed int64) ([]seqio.Sequence, []uint8) {
 	g := seqio.NewGenerator(seed)
 	db := g.Database(40)
-	// Under the +25 match matrix below, a self-alignment of this length
-	// scores 25*1400 = 35000, past int16, reaching the 32-bit pair
-	// tier; the mutated homolog saturates the 8-bit stage.
-	query := g.Protein("q", 1400)
+	query := g.Protein("q", 400)
 	db = append(db, g.Related(query, "homolog", 0.10, 0.02))
 	db = append(db, query)
 	return db, query.Encode(protAlpha)
@@ -38,7 +42,7 @@ func TestSearchBackendEquivalence(t *testing.T) {
 		t.Skip("long escalation workload")
 	}
 	db, query := escalationDB(t, 401)
-	mat := submat.MatchMismatch(protAlpha, 25, -8)
+	mat := escalationMat
 	for _, width := range []int{256, 512} {
 		mod, err := Search(query, db, mat, Options{
 			Gaps: aln.DefaultGaps(), Threads: 4, Width: width, Backend: core.BackendModeled})

@@ -13,7 +13,6 @@ import (
 	"swvec/internal/failpoint"
 	"swvec/internal/leakcheck"
 	"swvec/internal/seqio"
-	"swvec/internal/submat"
 )
 
 // chaosOpt pins the vector width so batch composition (and therefore
@@ -265,7 +264,7 @@ func TestChaosMultiSearchQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := failpoint.Enable("sched/multi8", "error(multi boom):first=1"); err != nil {
+	if err := failpoint.Enable("sched/align8", "error(multi boom):first=1"); err != nil {
 		t.Fatal(err)
 	}
 	res, err := MultiSearch(queries, db, b62, opt)
@@ -275,7 +274,7 @@ func TestChaosMultiSearchQuarantines(t *testing.T) {
 	if len(res.Quarantined) == 0 {
 		t.Fatal("failed multi-query batch produced no quarantine records")
 	}
-	bad := quarantineSet(t, db, res.Quarantined, "multi8", "multi boom")
+	bad := quarantineSet(t, db, res.Quarantined, "align8", "multi boom")
 	for qi := range queries {
 		for si := range db {
 			if bad[si] {
@@ -388,7 +387,7 @@ func TestChaos32BitEscalationRetries(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
 	db, query := escalationDB(t, 606)
-	mat := submat.MatchMismatch(protAlpha, 25, -8)
+	mat := escalationMat
 	opt := chaosOpt()
 	ref, err := Search(query, db, mat, opt)
 	if err != nil {
@@ -426,7 +425,7 @@ func TestChaos32BitFailureQuarantines(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
 	db, query := escalationDB(t, 607)
-	mat := submat.MatchMismatch(protAlpha, 25, -8)
+	mat := escalationMat
 	opt := chaosOpt()
 	ref, err := Search(query, db, mat, opt)
 	if err != nil {

@@ -105,7 +105,7 @@ func TestSearchContextCancel(t *testing.T) {
 	}()
 	start := time.Now()
 	res, err := SearchContext(ctx, query, db, b62,
-		Options{Gaps: aln.DefaultGaps(), Threads: 2, PipelineDepth: 2})
+		Options{Gaps: aln.DefaultGaps(), Threads: 2})
 	elapsed := time.Since(start)
 	cancel()
 	waitForGoroutines(t, before+2)
@@ -172,8 +172,8 @@ func TestSearchContextComplete(t *testing.T) {
 	if s.Stage8Nanos <= 0 || s.ProduceNanos <= 0 {
 		t.Errorf("stage timings missing: produce=%d stage8=%d", s.ProduceNanos, s.Stage8Nanos)
 	}
-	if s.QueueHighWater < 1 || s.QueueHighWater > int64(opt.depth(opt.threads())) {
-		t.Errorf("queue high-water %d out of range [1, %d]", s.QueueHighWater, opt.depth(opt.threads()))
+	if depth := int64(2 * opt.threads()); s.QueueHighWater < 1 || s.QueueHighWater > depth {
+		t.Errorf("queue high-water %d out of range [1, %d]", s.QueueHighWater, depth)
 	}
 	if s.Canceled != 0 {
 		t.Errorf("Canceled = %d on a completed search", s.Canceled)

@@ -60,11 +60,12 @@ const plannerStripedMinQuery = 384
 // pads at 3x+ and the striped family wins by the padding factor.
 const plannerStripedMinPad = 2.0
 
-// batchPadRatio estimates the interleaved batch engines' total-to-real
-// cell ratio for this database, mirroring the producer's grouping:
+// batchPadRatio is the interleaved batch engines' total-to-real cell
+// ratio for this database. It follows the producer's grouping —
 // consecutive runs of `lanes` sequences, in length-sorted order when
-// the search sorts. Every lane of a batch runs to the batch's longest
-// sequence, so the engine's work is lanes x maxLen per batch.
+// the search sorts — so it is exact before any batch is built. Every
+// lane of a batch runs to the batch's longest sequence, so the
+// engine's work is lanes x maxLen per batch.
 func batchPadRatio(db []seqio.Sequence, lanes int, sorted bool) float64 {
 	if len(db) == 0 || lanes <= 0 {
 		return 1
@@ -97,21 +98,6 @@ func batchPadRatio(db []seqio.Sequence, lanes int, sorted bool) float64 {
 	return float64(engine) / float64(real)
 }
 
-// builtPadRatio is the exact engine-to-real cell ratio of already
-// materialized batches (MultiSearch builds them up front, so no
-// estimate is needed).
-func builtPadRatio(batches []*seqio.Batch) float64 {
-	var real, engine int64
-	for _, b := range batches {
-		engine += int64(b.MaxLen) * int64(b.Stride())
-		real += b.Cells(1)
-	}
-	if real == 0 {
-		return 1
-	}
-	return float64(engine) / float64(real)
-}
-
 // stripedFewCorrections predicts whether the lazy-F correction loop
 // will almost always exit immediately: when opening a gap costs more
 // than the largest substitution score, a freshly opened F can never
@@ -123,8 +109,8 @@ func stripedFewCorrections(mat *submat.Matrix, g aln.Gaps) bool {
 
 // kernel resolves the kernel family for a search over the given query,
 // applying the planner policy above. be must be the resolved backend
-// (Options.backend()); padRatio is the batchPadRatio estimate for the
-// database the search will stream.
+// (Options.backend()); padRatio is the batchPadRatio of the database
+// the search will stream.
 func (o *Options) kernel(queryLen int, mat *submat.Matrix, be core.Backend, padRatio float64) core.Kernel {
 	if o.Kernel != core.KernelAuto {
 		return o.Kernel

@@ -8,7 +8,6 @@ import (
 
 	"swvec/internal/aln"
 	"swvec/internal/core"
-	"swvec/internal/failpoint"
 	"swvec/internal/metrics"
 	"swvec/internal/seqio"
 	"swvec/internal/submat"
@@ -48,184 +47,31 @@ func (r *MultiResult) GCUPS() float64 {
 
 // MultiSearch aligns every query against every database sequence
 // (Scenario 2: the centralized server accumulating queries before
-// computing). The work unit is a (query, batch) pair, so a batch's
-// transposed layout and score scratch are reused across queries — the
-// data-reuse advantage the paper credits for the scenario's
-// efficiency. A saturated (query, sequence) pair is rescued on the
-// worker that found it with the same 16/32-bit ladder as Search, so
-// both scenarios return the same scores. Each (query, sequence) cell
-// of the score matrix belongs to exactly one batch, so workers write
-// scores without a lock; only error capture and tally merging
-// synchronize.
+// computing). It runs Search's one streaming dataflow over the whole
+// query set: the work unit is a batch, and a worker aligns it for every
+// query in one call, so the batch's transposed layout and score
+// scratch are reused across queries — the data-reuse advantage the
+// paper credits for the scenario's efficiency. A saturated (query,
+// sequence) pair is rescued on the worker that found it with the same
+// 16/32-bit ladder, so both scenarios return the same scores. Each
+// (query, sequence) cell of the score matrix belongs to exactly one
+// batch, so workers write scores without a lock.
 func MultiSearch(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*MultiResult, error) {
 	return MultiSearchContext(context.Background(), queries, db, mat, opt)
 }
 
 // MultiSearchContext is MultiSearch with cancellation: when ctx is
-// canceled or its deadline passes, workers drain the remaining batches
-// without aligning them and the call returns the partial MultiResult
-// (unprocessed scores are zero) together with an error wrapping
-// ctx.Err(). The centralized server uses it to bound per-batch compute
-// with a request deadline.
+// canceled or its deadline passes, the batch producer stops, in-flight
+// batches drain without aligning, and the call returns the partial
+// MultiResult (unprocessed scores are zero) together with an error
+// wrapping ctx.Err(). The centralized server uses it to bound
+// per-batch compute with a request deadline.
 func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*MultiResult, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("sched: no queries")
-	}
-	for i, q := range queries {
-		if len(q) == 0 {
-			return nil, fmt.Errorf("sched: query %d is empty", i)
-		}
-	}
-	if len(db) == 0 {
-		return nil, fmt.Errorf("sched: empty database")
-	}
-	if err := opt.Gaps.Validate(); err != nil {
+	p, err := search(ctx, queries, db, mat, opt)
+	if p == nil {
 		return nil, err
 	}
-	alpha := mat.Alphabet()
-	batches := seqio.BuildBatches(db, alpha, seqio.BatchOptions{SortByLength: opt.SortByLength})
-	tables := submat.NewCodeTables(mat)
-
-	// One AlignBatch8Multi call serves every query, so the whole search
-	// runs one kernel family. Plan from the shortest query: striped only
-	// pays off when every query in the set clears the length threshold.
-	minQ := len(queries[0])
-	for _, q := range queries[1:] {
-		if len(q) < minQ {
-			minQ = len(q)
-		}
-	}
-	kern := opt.kernel(minQ, mat, opt.backend(), builtPadRatio(batches))
-
-	res := &MultiResult{Scores: make([][]int32, len(queries))}
-	for qi := range res.Scores {
-		res.Scores[qi] = make([]int32, len(db))
-	}
-
-	// The work unit is a whole batch: every query runs against it in
-	// one AlignBatch8Multi call, so the transposed layout and the
-	// per-code score scratch are computed once per batch and reused
-	// across all queries — the accumulation benefit §IV-G measures.
-	nw := opt.threads()
-	if nw > len(batches) {
-		nw = len(batches)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	// The internal context lets a worker crash cancel the batch feed so
-	// the send loop below cannot block on dead consumers; the outer ctx
-	// still decides whether the run reports as interrupted.
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	st := &stages{
-		ctx:    ictx,
-		cancel: cancel,
-		met:    &metrics.Counters{},
-		db:     db,
-		alpha:  alpha,
-		mat:    mat,
-		opt:    &opt,
-		kern:   kern,
-		tally:  &vek.Tally{},
-	}
-	st.met.BatchesProduced.Add(int64(len(batches)))
-	// try8 is one guarded multi-query attempt; see pipeline.try8.
-	try8 := func(j job) (brs []core.BatchResult, err error) {
-		defer recoverAttempt("multi8", st.met, &err)
-		if err = failpoint.Inject("sched/multi8"); err != nil {
-			return nil, err
-		}
-		return core.AlignBatch8Multi(j.mch, queries, tables, j.b,
-			core.BatchOptions{Gaps: opt.Gaps, BlockCols: opt.BlockCols, Scratch: j.s, Backend: opt.backend(), Kernel: kern})
-	}
-
-	work := make(chan *seqio.Batch, nw)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer st.guard("worker")
-			mch := vek.Bare
-			var tal *vek.Tally
-			if opt.Instrument {
-				mch, tal = vek.NewMachine()
-			}
-			scratch := getScratch()
-			var enc []uint8
-			for batch := range work {
-				// Cancellation point: drain remaining batches without
-				// aligning so close(work) still unblocks the sender.
-				if ictx.Err() != nil {
-					continue
-				}
-				t8 := time.Now()
-				brs, err := retry(st, try8, job{mch: mch, s: scratch, b: batch})
-				if err != nil {
-					// Quarantine just this batch's sequences (for every
-					// query); the rest of the matrix still fills in.
-					st.quarantineBatch("multi8", batch, err)
-					continue
-				}
-				st.met.Batches8.Add(1)
-				tallyKernel(st.met, kern, 1, 0)
-				for qi, q := range queries {
-					cells := batch.Cells(len(q))
-					st.met.Cells8.Add(cells)
-					tallyKernel(st.met, kern, 0, cells)
-					for lane := 0; lane < batch.Count; lane++ {
-						res.Scores[qi][batch.Index[lane]] = brs[qi].Scores[lane]
-						if brs[qi].Saturated[lane] {
-							st.met.Saturated8.Add(1)
-						}
-					}
-				}
-				st.met.Stage8Nanos.Add(int64(time.Since(t8)))
-				for qi, q := range queries {
-					for lane := 0; lane < batch.Count; lane++ {
-						if !brs[qi].Saturated[lane] {
-							continue
-						}
-						si := batch.Index[lane]
-						var score int32
-						var ok bool
-						if score, ok, enc = st.rescue(mch, scratch, q, si, enc); ok {
-							res.Scores[qi][si] = score
-						}
-					}
-				}
-			}
-			st.retire(tal, scratch)
-		}()
-	}
-	for _, b := range batches {
-		select {
-		case work <- b:
-		case <-ictx.Done():
-		}
-	}
-	close(work)
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-
-	snap, cancelErr := st.finish(ctx)
-	res.Stats = snap
-	res.Cells = snap.Cells()
-	res.Rescued = int(snap.Saturated8)
-	res.Quarantined = st.quarantined
-	if opt.Instrument {
-		res.Tally = st.tally
-	}
-	if st.err != nil {
-		return nil, st.err
-	}
-	if cancelErr != nil {
-		return res, fmt.Errorf("sched: multi-search interrupted after %d/%d batches: %w",
-			snap.Batches8, len(batches), cancelErr)
-	}
-	return res, nil
+	return p.res, err
 }
 
 // alignPairJob runs one subroutine pair with panic recovery so a
@@ -318,8 +164,8 @@ func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, trac
 	if nw < 1 {
 		nw = 1
 	}
-	// As in MultiSearchContext, a crashed worker cancels the feed so
-	// the send loop cannot block on dead consumers.
+	// A crashed worker cancels the feed so the send loop cannot block
+	// on dead consumers.
 	ictx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	st := &stages{ctx: ictx, cancel: cancel, tally: &vek.Tally{}}

@@ -5,12 +5,12 @@
 // carry their own vector-machine tallies, which are merged for the
 // performance model.
 //
-// Scenario 1 runs as a streaming pipeline: a producer transposes
-// database batches on demand into one work queue, and a worker pool
-// aligns them at 8 bits. The worker that finds a saturated lane
-// rescues it on its own, right after the batch, at 16 and then 32
-// bits; scenario 2 runs the same rescue. Neither scenario queues
-// saturations between goroutines.
+// Scenarios 1 and 2 run as one streaming pipeline over a set of
+// queries (one query for scenario 1): a producer transposes database
+// batches on demand into one work queue, and a worker pool aligns each
+// batch at 8 bits for every query. The worker that finds a saturated
+// (query, lane) pair rescues it on its own, right after the batch, at
+// 16 and then 32 bits; no saturation is queued between goroutines.
 package sched
 
 import (
@@ -56,16 +56,12 @@ type Options struct {
 	// Instrument merges per-worker operation tallies into the result
 	// for the performance model. Slightly slows the real kernels.
 	Instrument bool
-	// PipelineDepth is the number of batches buffered between the
-	// streaming producer and the worker pool (0 = twice the worker
-	// count). Deeper queues smooth uneven batch costs at the price of
-	// more transposed batches in flight.
-	PipelineDepth int
 	// Width is the vector register width of the pipeline's 8-bit batch
-	// engine in bits: 256 (32-lane batches), 512 (64-lane batches), or
-	// 0 to resolve from the native architecture model (512 when
-	// isa.Native().HasAVX512, else 256). The 16- and 32-bit rescues
-	// align one pair at a time on the pair kernels, whatever the width.
+	// engine in bits, for Search and MultiSearch alike: 256 (32-lane
+	// batches), 512 (64-lane batches), or 0 to resolve from the native
+	// architecture model (512 when isa.Native().HasAVX512, else 256).
+	// The 16- and 32-bit rescues align one pair at a time on the pair
+	// kernels, whatever the width.
 	Width int
 	// Backend selects the execution backend for every alignment stage.
 	// BackendAuto resolves to the compiled native kernels unless
@@ -116,13 +112,6 @@ func (o *Options) threads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o *Options) depth(nw int) int {
-	if o.PipelineDepth > 0 {
-		return o.PipelineDepth
-	}
-	return 2 * nw
-}
-
 // Hit is one database sequence's result.
 type Hit struct {
 	// SeqIndex is the sequence's position in the database slice.
@@ -143,9 +132,8 @@ type Quarantine struct {
 	SeqIndex int
 	// ID is the sequence's FASTA identifier.
 	ID string
-	// Stage names the stage that failed: "align8" (or "multi8" in a
-	// multi-query search) for the 8-bit batch, "align16" and "align32"
-	// for the rescue tiers.
+	// Stage names the stage that failed: "align8" for the 8-bit batch
+	// (in both scenarios), "align16" and "align32" for the rescue tiers.
 	Stage string
 	// Cause is the final error after retries were exhausted.
 	Cause string
@@ -213,7 +201,8 @@ func (r *Result) GCUPS() float64 {
 // bits past int16, before it takes the next batch. Every database
 // index belongs to exactly one batch, and the one worker that aligned
 // that batch writes both its 8-bit score and its rescue, so Hits needs
-// no lock.
+// no lock. Search is MultiSearch with one query: both run this one
+// dataflow.
 func Search(query []uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*Result, error) {
 	return SearchContext(context.Background(), query, db, mat, opt)
 }
@@ -237,8 +226,41 @@ func Search(query []uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options)
 // panic that escapes a worker's per-attempt recovery) fails the whole
 // search.
 func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*Result, error) {
-	if len(query) == 0 {
-		return nil, fmt.Errorf("sched: empty query")
+	p, err := search(ctx, [][]uint8{query}, db, mat, opt)
+	if p == nil {
+		return nil, err
+	}
+	m := p.res
+	res := &Result{
+		Hits:        make([]Hit, len(db)),
+		Cells:       m.Cells,
+		Elapsed:     m.Elapsed,
+		Rescued:     m.Rescued,
+		Kernel:      p.kern,
+		Stats:       m.Stats,
+		Tally:       m.Tally,
+		Quarantined: m.Quarantined,
+	}
+	for si, score := range m.Scores[0] {
+		res.Hits[si] = Hit{SeqIndex: si, Score: score, Rescued: p.rescued[0][si]}
+	}
+	return res, err
+}
+
+// search is the one dataflow behind Search and MultiSearch: it
+// validates the inputs, plans one kernel family for the query set,
+// streams the database through the worker pool, and returns the
+// drained pipeline with its MultiResult filled in. The pipeline is nil
+// when the inputs are invalid or the pipeline's own machinery failed;
+// on a cancel it holds the partial result and err wraps ctx.Err().
+func search(ctx context.Context, queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*pipeline, error) {
+	if len(queries) == 0 {
+		return nil, fmt.Errorf("sched: no queries")
+	}
+	for i, q := range queries {
+		if len(q) == 0 {
+			return nil, fmt.Errorf("sched: query %d is empty", i)
+		}
 	}
 	if len(db) == 0 {
 		return nil, fmt.Errorf("sched: empty database")
@@ -251,19 +273,15 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 		return nil, err
 	}
 	lanes := width / 8
-
-	res := &Result{Hits: make([]Hit, len(db))}
-	for i := range res.Hits {
-		res.Hits[i].SeqIndex = i
-	}
-
 	nbatches := (len(db) + lanes - 1) / lanes
-	nw := opt.threads()
-	if nw > nbatches {
-		nw = nbatches
-	}
-	if nw < 1 {
-		nw = 1
+	nw := min(opt.threads(), nbatches)
+
+	// One 8-bit call serves every query of a batch, so the whole search
+	// runs one kernel family. Plan from the shortest query: striped only
+	// pays off when every query in the set clears the length threshold.
+	minQ := len(queries[0])
+	for _, q := range queries[1:] {
+		minQ = min(minQ, len(q))
 	}
 
 	// The internal context lets a pipeline crash (a panic the per-batch
@@ -274,8 +292,6 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 	defer cancel()
 
 	alpha := mat.Alphabet()
-	kern := opt.kernel(len(query), mat, opt.backend(), batchPadRatio(db, lanes, opt.SortByLength))
-	res.Kernel = kern
 	p := &pipeline{
 		stages: stages{
 			ctx:    ictx,
@@ -285,14 +301,21 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 			alpha:  alpha,
 			mat:    mat,
 			opt:    &opt,
-			kern:   kern,
+			kern:   opt.kernel(minQ, mat, opt.backend(), batchPadRatio(db, lanes, opt.SortByLength)),
 			tally:  &vek.Tally{},
 		},
-		query:  query,
-		tables: submat.NewCodeTables(mat),
-		res:    res,
-		stream: seqio.NewBatchStream(db, alpha, seqio.BatchOptions{SortByLength: opt.SortByLength, Lanes: lanes}),
-		work8:  make(chan *seqio.Batch, opt.depth(nw)),
+		queries: queries,
+		tables:  submat.NewCodeTables(mat),
+		res:     &MultiResult{Scores: make([][]int32, len(queries))},
+		rescued: make([][]bool, len(queries)),
+		stream:  seqio.NewBatchStream(db, alpha, seqio.BatchOptions{SortByLength: opt.SortByLength, Lanes: lanes}),
+		// Two queued batches per worker keep the pool fed while bounding
+		// the transposed batches in flight, whatever the database size.
+		work8: make(chan *seqio.Batch, 2*nw),
+	}
+	for qi := range queries {
+		p.res.Scores[qi] = make([]int32, len(db))
+		p.rescued[qi] = make([]bool, len(db))
 	}
 
 	start := time.Now()
@@ -312,10 +335,11 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 		}()
 	}
 	wg.Wait()
-	res.Elapsed = time.Since(start)
 
 	// All writers have quiesced: derive the aggregate fields from the
-	// one snapshot so Result and Result.Stats can never disagree.
+	// one snapshot so the result and its Stats can never disagree.
+	res := p.res
+	res.Elapsed = time.Since(start)
 	snap, cancelErr := p.finish(ctx)
 	res.Stats = snap
 	res.Cells = snap.Cells()
@@ -328,16 +352,16 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 		return nil, p.err
 	}
 	if cancelErr != nil {
-		return res, fmt.Errorf("sched: search interrupted after %d/%d batches: %w",
+		return p, fmt.Errorf("sched: search interrupted after %d/%d batches: %w",
 			snap.Batches8, nbatches, cancelErr)
 	}
-	return res, nil
+	return p, nil
 }
 
-// stages is what the alignment stages of one search share, in the
-// Search pipeline and in MultiSearch alike: the search's context and
-// counters, its inputs and kernel plan, and the failure and quarantine
-// report its workers write under mu.
+// stages is what the alignment stages of one search share: the
+// search's context and counters, its inputs and kernel plan, and the
+// failure and quarantine report its workers write under mu. The
+// pipeline embeds it; Subroutine borrows its guard and mutex.
 type stages struct {
 	// ctx stops the search: the producer stops emitting, the stage
 	// runners drop into drain mode, and retry backoff gives up. It is
@@ -362,14 +386,18 @@ type stages struct {
 	quarantined []Quarantine
 }
 
-// pipeline is the streaming search dataflow of Search: one producer
-// feeding one work queue drained by the worker pool.
+// pipeline is the streaming search dataflow of Search and MultiSearch:
+// one producer feeding one work queue drained by the worker pool.
 type pipeline struct {
 	stages
-	query  []uint8
-	tables *submat.CodeTables
-	res    *Result
-	stream *seqio.BatchStream
+	queries [][]uint8
+	tables  *submat.CodeTables
+	// res collects the search's outcome: res.Scores[qi][si] is query
+	// qi's score against sequence si, and rescued[qi][si] marks the
+	// scores the saturation ladder recovered.
+	res     *MultiResult
+	rescued [][]bool
+	stream  *seqio.BatchStream
 	// work8 carries transposed batches from the producer to the pool.
 	work8 chan *seqio.Batch
 }
@@ -417,9 +445,9 @@ func (p *pipeline) produce() {
 // worker drains work8 until the producer closes it. Each worker owns
 // its vector machine, tally, scratch arena (on loan from scratchPool),
 // and encode buffer. Cell counts flow through the per-batch atomic
-// stage counters, so they stay consistent with Result.Stats even on a
-// canceled run. After a cancel the worker keeps receiving — run8 just
-// drops into drain mode — until the producer closes the queue.
+// stage counters, so they stay consistent with the result's Stats even
+// on a canceled run. After a cancel the worker keeps receiving — run8
+// just drops into drain mode — until the producer closes the queue.
 func (p *pipeline) worker() {
 	mch := vek.Bare
 	var tal *vek.Tally
@@ -434,12 +462,13 @@ func (p *pipeline) worker() {
 	p.retire(tal, scratch)
 }
 
-// run8 is stage 1: align the batch at 8 bits, write each lane's hit
-// (each database index is owned by exactly one lane), rescue every
-// saturated lane on this worker, and recycle the batch buffer. A stage
-// failure that survives the retry policy quarantines the batch's
-// sequences instead of failing the search. enc is the worker's encode
-// buffer for the rescues, returned for reuse.
+// run8 is stage 1: align the batch at 8 bits for every query, write
+// each (query, lane) score (each database index is owned by exactly
+// one lane), rescue every saturated pair on this worker, and recycle
+// the batch buffer. A stage failure that survives the retry policy
+// quarantines the batch's sequences, for every query, instead of
+// failing the search. enc is the worker's encode buffer for the
+// rescues, returned for reuse.
 // Cancellation point 2: after a cancel the batch is recycled
 // unaligned, and its lanes are never rescued.
 //
@@ -450,48 +479,79 @@ func (p *pipeline) run8(mch vek.Machine, s *core.Scratch, b *seqio.Batch, enc []
 		return enc
 	}
 	start := time.Now()
-	br, err := retry(&p.stages, p.try8, job{mch: mch, s: s, b: b})
+	r, err := retry(&p.stages, p.try8, job{mch: mch, s: s, b: b})
 	if err != nil {
 		p.quarantineBatch("align8", b, err)
 		p.stream.Recycle(b)
 		return enc
 	}
-	cells := b.Cells(len(p.query))
+	var cells int64
+	for qi, q := range p.queries {
+		br, scores := r.of(qi), p.res.Scores[qi]
+		cells += b.Cells(len(q))
+		for lane := 0; lane < b.Count; lane++ {
+			scores[b.Index[lane]] = br.Scores[lane]
+			if br.Saturated[lane] {
+				p.met.Saturated8.Add(1)
+			}
+		}
+	}
 	p.met.Batches8.Add(1)
 	p.met.Cells8.Add(cells)
 	tallyKernel(p.met, p.kern, 1, cells)
-	for lane := 0; lane < b.Count; lane++ {
-		p.res.Hits[b.Index[lane]].Score = br.Scores[lane]
-		if br.Saturated[lane] {
-			p.met.Saturated8.Add(1)
-		}
-	}
 	p.met.Stage8Nanos.Add(int64(time.Since(start)))
-	for lane := 0; lane < b.Count; lane++ {
-		if !br.Saturated[lane] {
-			continue
-		}
-		si := b.Index[lane]
-		var score int32
-		var ok bool
-		if score, ok, enc = p.rescue(mch, s, p.query, si, enc); ok {
-			p.res.Hits[si].Score = score
-			p.res.Hits[si].Rescued = true
+	for qi, q := range p.queries {
+		br := r.of(qi)
+		for lane := 0; lane < b.Count; lane++ {
+			if !br.Saturated[lane] {
+				continue
+			}
+			si := b.Index[lane]
+			var score int32
+			var ok bool
+			if score, ok, enc = p.rescue(mch, s, q, si, enc); ok {
+				p.res.Scores[qi][si] = score
+				p.rescued[qi][si] = true
+			}
 		}
 	}
 	p.stream.Recycle(b)
 	return enc
 }
 
+// results8 is one batch's 8-bit outcome for every query of the search.
+// A one-query search keeps its result inline, so its healthy path
+// allocates nothing; a query set holds AlignBatch8Multi's results.
+type results8 struct {
+	one   core.BatchResult
+	multi []core.BatchResult
+}
+
+// of returns query qi's result.
+func (r *results8) of(qi int) *core.BatchResult {
+	if r.multi == nil {
+		return &r.one
+	}
+	return &r.multi[qi]
+}
+
 // try8 is one guarded 8-bit attempt; recoverAttempt turns a panicking
-// kernel into an error without unwinding the worker.
-func (p *pipeline) try8(j job) (br core.BatchResult, err error) {
+// kernel into an error without unwinding the worker. One query runs
+// AlignBatch8; a query set runs AlignBatch8Multi, which does the same
+// work per query and shares the batch's score scratch across them —
+// the scenario-2 data reuse of §IV-G.
+func (p *pipeline) try8(j job) (r results8, err error) {
 	defer recoverAttempt("align8", p.met, &err)
 	if err = failpoint.Inject("sched/align8"); err != nil {
-		return br, err
+		return r, err
 	}
-	return core.AlignBatch8(j.mch, p.query, p.tables, j.b,
-		core.BatchOptions{Gaps: p.opt.Gaps, BlockCols: p.opt.BlockCols, Scratch: j.s, Backend: p.opt.backend(), Kernel: p.kern})
+	opt := core.BatchOptions{Gaps: p.opt.Gaps, BlockCols: p.opt.BlockCols, Scratch: j.s, Backend: p.opt.backend(), Kernel: p.kern}
+	if len(p.queries) == 1 {
+		r.one, err = core.AlignBatch8(j.mch, p.queries[0], p.tables, j.b, opt)
+		return r, err
+	}
+	r.multi, err = core.AlignBatch8Multi(j.mch, p.queries, p.tables, j.b, opt)
+	return r, err
 }
 
 // rescue is the saturation ladder (PAPER.md §1, point 6) for one pair
@@ -602,8 +662,7 @@ func retry[R any](st *stages, try func(job) (R, error), j job) (R, error) {
 
 // tallyKernel adds batch and cell counts to the per-kernel-family
 // counters. Passing batches=0 attributes cells without counting a
-// batch: 32-bit escalations, and the per-query cells of a multi-query
-// batch counted once.
+// batch, as the 32-bit escalations do.
 func tallyKernel(met *metrics.Counters, kern core.Kernel, batches, cells int64) {
 	switch kern {
 	case core.KernelStriped:

@@ -1,10 +1,12 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"swvec/internal/aln"
 	"swvec/internal/baselines"
+	"swvec/internal/metrics"
 	"swvec/internal/seqio"
 	"swvec/internal/submat"
 )
@@ -172,23 +174,41 @@ func TestSearchErrors(t *testing.T) {
 	}
 }
 
+// TestMultiSearchMatchesSingleSearches checks that both scenarios give
+// every (query, sequence) pair the scalar reference's score. Rows with
+// sameStats also run Search(q) and MultiSearch([q]) on one worker at
+// both vector widths: one dataflow must report the same Stats counters
+// for both, every field but the wall-clock timings.
 func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 	g := seqio.NewGenerator(107)
 	escDB, escQuery := escalationDB(t, 402)
+	// 257 sequences make at least five batches at either width, so a
+	// one-worker queue fills to its capacity of 2 in both scenarios; the
+	// homolog saturates 8 bits and is rescued at 16. The query is short
+	// enough that the planner keeps the diagonal family.
+	og := seqio.NewGenerator(114)
+	oneQuery := og.Protein("q", 200)
+	var oneDB []seqio.Sequence
+	for i := 0; i < 256; i++ {
+		oneDB = append(oneDB, og.Protein(fmt.Sprintf("s%d", i), 40))
+	}
+	oneDB = append(oneDB, og.Related(oneQuery, "homolog", 0.03, 0.01))
 	cases := []struct {
-		name    string
-		db      []seqio.Sequence
-		queries [][]uint8
-		mat     *submat.Matrix
+		name      string
+		db        []seqio.Sequence
+		queries   [][]uint8
+		mat       *submat.Matrix
+		sameStats bool
 	}{
 		{"blosum62", g.Database(48), [][]uint8{
 			g.Protein("q0", 50).Encode(protAlpha),
 			g.Protein("q1", 120).Encode(protAlpha),
 			g.Protein("q2", 33).Encode(protAlpha),
-		}, b62},
-		// The self-hit scores 25*1400 = 35000, past int16: the rescue
+		}, b62, false},
+		// The self-hit scores 120*400 = 48000, past int16: the rescue
 		// must climb to the 32-bit tier in both scenarios.
-		{"escalation", escDB, [][]uint8{escQuery}, submat.MatchMismatch(protAlpha, 25, -8)},
+		{"escalation", escDB, [][]uint8{escQuery}, escalationMat, false},
+		{"one-query", oneDB, [][]uint8{oneQuery.Encode(protAlpha)}, b62, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -214,8 +234,39 @@ func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 			if multi.Cells <= 0 {
 				t.Error("cells not counted")
 			}
+			if !c.sameStats {
+				return
+			}
+			for _, width := range []int{256, 512} {
+				opt := Options{Gaps: aln.DefaultGaps(), Threads: 1, Width: width}
+				single, err := Search(c.queries[0], c.db, c.mat, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				multi, err := MultiSearch(c.queries, c.db, c.mat, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if single.Rescued == 0 {
+					t.Fatalf("width %d: setup failure: no rescue", width)
+				}
+				for si, h := range single.Hits {
+					if got := multi.Scores[0][si]; got != h.Score {
+						t.Fatalf("width %d seq %d: multi %d, single %d", width, si, got, h.Score)
+					}
+				}
+				if got, want := untimed(multi.Stats), untimed(single.Stats); got != want {
+					t.Errorf("width %d: stats differ\nmulti  %+v\nsingle %+v", width, got, want)
+				}
+			}
 		})
 	}
+}
+
+// untimed is s without its wall-clock stage timings.
+func untimed(s metrics.Snapshot) metrics.Snapshot {
+	s.ProduceNanos, s.Stage8Nanos, s.Stage16Nanos, s.Stage32Nanos = 0, 0, 0, 0
+	return s
 }
 
 func TestSubroutineScoresAndTraceback(t *testing.T) {

@@ -51,10 +51,11 @@ func TestSearchZeroAlloc(t *testing.T) {
 			mat:    b62,
 			opt:    &opt,
 		},
-		query:  query,
-		tables: submat.NewCodeTables(b62),
-		res:    &Result{Hits: make([]Hit, len(db))},
-		stream: seqio.NewBatchStream(db, alpha, seqio.BatchOptions{Lanes: 32}),
+		queries: [][]uint8{query},
+		tables:  submat.NewCodeTables(b62),
+		res:     &MultiResult{Scores: [][]int32{make([]int32, len(db))}},
+		rescued: [][]bool{make([]bool, len(db))},
+		stream:  seqio.NewBatchStream(db, alpha, seqio.BatchOptions{Lanes: 32}),
 	}
 	scratch := core.NewScratch()
 	// Two warm batches prime the stream's recycle pool and the scratch

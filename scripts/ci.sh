@@ -74,13 +74,16 @@ go -C perfbench vet ./...
 go -C perfbench test ./...
 
 echo "== fuzz smoke =="
-go test -fuzz=FuzzAlignWidths -fuzztime=10s -run FuzzAlignWidths ./internal/core
-go test -fuzz=FuzzNativeVsModeled -fuzztime=10s -run FuzzNativeVsModeled ./internal/core
-go test -fuzz=FuzzKernelsVsDiagonal -fuzztime=10s -run FuzzKernelsVsDiagonal ./internal/core
+# -fuzzminimizetime caps how long each newly interesting input is
+# minimized; without it, minimizing can take most of the 10 s budget
+# and the smoke stops executing new inputs.
+go test -fuzz=FuzzAlignWidths -fuzztime=10s -fuzzminimizetime=1s -run FuzzAlignWidths ./internal/core
+go test -fuzz=FuzzNativeVsModeled -fuzztime=10s -fuzzminimizetime=1s -run FuzzNativeVsModeled ./internal/core
+go test -fuzz=FuzzKernelsVsDiagonal -fuzztime=10s -fuzzminimizetime=1s -run FuzzKernelsVsDiagonal ./internal/core
 # Scenario level: Search, MultiSearch and Subroutine against the scalar
 # baseline, with scores high enough to reach every saturation tier.
-go test -fuzz=FuzzSearchScenarios -fuzztime=10s -run FuzzSearchScenarios ./internal/sched
-go test -fuzz=FuzzFASTADecode -fuzztime=10s -run FuzzFASTADecode ./internal/seqio
+go test -fuzz=FuzzSearchScenarios -fuzztime=10s -fuzzminimizetime=1s -run FuzzSearchScenarios ./internal/sched
+go test -fuzz=FuzzFASTADecode -fuzztime=10s -fuzzminimizetime=1s -run FuzzFASTADecode ./internal/seqio
 
 echo "== bench smoke =="
 # One iteration of every search benchmark plus the native-vs-modeled

@@ -174,7 +174,6 @@ type Aligner struct {
 	threads int
 	block   int
 	sortLen bool
-	depth   int
 	width   int
 	backend Backend
 	kernel  Kernel
@@ -246,25 +245,11 @@ func WithLengthSortedBatches() Option {
 	}
 }
 
-// WithPipelineDepth sets how many transposed batches may be buffered
-// between the streaming batch producer and the search worker pool
-// (default: twice the worker count). Deeper pipelines smooth uneven
-// batch costs at the price of more batches in flight.
-func WithPipelineDepth(n int) Option {
-	return func(a *Aligner) error {
-		if n < 0 {
-			return fmt.Errorf("swvec: negative pipeline depth %d", n)
-		}
-		a.depth = n
-		return nil
-	}
-}
-
 // WithVectorWidth selects the vector register width of the search
-// pipeline's 8-bit batch engine: 256 (32-lane batches), 512 (64-lane
-// batches), or 0 to auto-detect from the native architecture model.
-// The 16- and 32-bit rescues align one pair at a time and do not
-// depend on it, and SearchAll always builds 32-lane batches.
+// pipeline's 8-bit batch engine, for Search and SearchAll alike: 256
+// (32-lane batches), 512 (64-lane batches), or 0 to auto-detect from
+// the native architecture model. The 16- and 32-bit rescues align one
+// pair at a time and do not depend on it.
 func WithVectorWidth(bits int) Option {
 	return func(a *Aligner) error {
 		switch bits {
@@ -402,14 +387,18 @@ func (a *Aligner) SearchContext(ctx context.Context, query []byte, db []Sequence
 }
 
 // SearchAll aligns every query against every database sequence
-// (the centralized-server scenario).
+// (the centralized-server scenario) on Search's streaming pipeline:
+// each transposed batch is aligned for every query in one call, so the
+// batch's layout and score scratch are shared across the query set.
 func (a *Aligner) SearchAll(queries [][]byte, db []Sequence) (*MultiSearchResult, error) {
 	return a.SearchAllContext(context.Background(), queries, db)
 }
 
 // SearchAllContext is SearchAll with cancellation: on ctx cancellation
-// or deadline the remaining batches drain unprocessed and the partial
-// MultiSearchResult returns together with an error wrapping ctx.Err().
+// or deadline the pipeline stops producing batches, the queued ones
+// drain unprocessed, and the partial MultiSearchResult returns together
+// with an error wrapping ctx.Err(). Result.Stats always holds a
+// consistent per-stage snapshot; no goroutines outlive the call.
 func (a *Aligner) SearchAllContext(ctx context.Context, queries [][]byte, db []Sequence) (*MultiSearchResult, error) {
 	encoded := make([][]uint8, len(queries))
 	for i, q := range queries {
@@ -430,14 +419,13 @@ func (a *Aligner) Gaps() Gaps { return a.gaps }
 
 func (a *Aligner) schedOptions() sched.Options {
 	return sched.Options{
-		Gaps:          a.gaps,
-		Threads:       a.threads,
-		BlockCols:     a.block,
-		SortByLength:  a.sortLen,
-		PipelineDepth: a.depth,
-		Width:         a.width,
-		Backend:       a.backend,
-		Kernel:        a.kernel,
+		Gaps:         a.gaps,
+		Threads:      a.threads,
+		BlockCols:    a.block,
+		SortByLength: a.sortLen,
+		Width:        a.width,
+		Backend:      a.backend,
+		Kernel:       a.kernel,
 	}
 }
 
