@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all verify fmt vet lint portable race chaos cluster-e2e perfbench-test fuzz bench bench-smoke bench-backends bench-kernels benchcheck ci
+.PHONY: all verify fmt vet lint portable race chaos cluster-e2e perfbench-test fuzz bench bench-smoke bench-backends benchcheck ci
 
 all: verify
 
@@ -91,13 +91,6 @@ bench-smoke:
 # widths) with allocation reporting.
 bench-backends:
 	$(GO) test -run '^$$' -bench 'BenchmarkBackends' -benchmem .
-
-# Kernel-family comparison: every search benchmark across the planner's
-# auto choice and the forced diagonal/striped/lazyf families, so the
-# planner threshold (sched.plannerStripedMinQuery) can be tuned against
-# measurements.
-bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkSearchEndToEnd|BenchmarkSearchPipeline|BenchmarkBackends' -benchmem .
 
 # Regression gate: this run's BENCH_ci.json against the committed
 # BENCH_baseline.json; >30% ns/op on any end-to-end search benchmark

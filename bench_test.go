@@ -382,10 +382,9 @@ func BenchmarkAblationBatchBlockCols(b *testing.B) {
 // points the search benchmarks record. The sub-benchmark name carries
 // every field so BENCH_ci.json entries are self-describing and
 // comparable across PRs (the pre-backend baseline corresponds to
-// backend=modeled/width=256/kernel=auto). The forced-kernel rows pin
-// the planner's alternatives on the native serving configuration, so
-// the auto row can be checked against the best forced row per query
-// class.
+// backend=modeled/width=256/kernel=auto). The native backend has one
+// kernel, native.Pair32, so it has no forced-kernel rows; its width
+// only sets how many sequences a batch holds.
 var searchBenchConfigs = []struct {
 	name    string
 	backend Backend
@@ -395,15 +394,10 @@ var searchBenchConfigs = []struct {
 	{"backend=modeled/width=256/kernel=auto", BackendModeled, 256, KernelAuto},
 	{"backend=native/width=256/kernel=auto", BackendNative, 256, KernelAuto},
 	{"backend=native/width=512/kernel=auto", BackendNative, 512, KernelAuto},
-	{"backend=native/width=512/kernel=diagonal", BackendNative, 512, KernelDiagonal},
-	{"backend=native/width=512/kernel=striped", BackendNative, 512, KernelStriped},
-	{"backend=native/width=512/kernel=lazyf", BackendNative, 512, KernelLazyF},
 }
 
 // searchBenchQueryLens are the query classes the search benchmarks
-// sweep: one short query the planner keeps on the diagonal batch
-// engines and one long query past the striped threshold, where the
-// striped families amortize their per-column overhead.
+// sweep: one short query and one long one.
 var searchBenchQueryLens = []int{200, 1200}
 
 // BenchmarkSearchEndToEnd measures the public API's database search on
@@ -603,11 +597,13 @@ func BenchmarkSearchScatter(b *testing.B) {
 	}
 }
 
-// BenchmarkBackends compares the modeled vector machine with the
-// compiled native kernels on identical pair and batch workloads at
-// both register widths. Wall clock is the comparison that matters: the
-// modeled rows price the interpreter the serving path no longer pays,
-// the native rows are what swserver actually runs.
+// BenchmarkBackends compares the modeled vector machine with the native
+// backend on identical pair and batch workloads at both register
+// widths. Wall clock is the comparison that matters: the modeled rows
+// price the interpreter the serving path no longer pays, the native
+// rows are what swserver actually runs — native.Pair32 for every
+// entry point, one lane at a time for the batch ones. A kernel family
+// is a modeled-backend choice, so native has only the diagonal rows.
 func BenchmarkBackends(b *testing.B) {
 	p := newBenchPair(320, 1000)
 	fixed := submat.MatchMismatch(p.mat.Alphabet(), 2, -1)
@@ -675,7 +671,7 @@ func BenchmarkBackends(b *testing.B) {
 			popt := core.PairOptions{Gaps: aln.DefaultGaps(), Backend: be, Scratch: scratch, Kernel: kern}
 			bopt := core.BatchOptions{Gaps: aln.DefaultGaps(), Backend: be, Scratch: scratch, Kernel: kern}
 			for _, c := range cases {
-				if kern.Striped() && !c.striped {
+				if kern.Striped() && (!c.striped || be == core.BackendNative) {
 					continue
 				}
 				b.Run(fmt.Sprintf("%s/backend=%s/width=%d/kernel=%s", c.stage, be, c.width, kern), func(b *testing.B) {

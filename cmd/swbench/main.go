@@ -33,7 +33,7 @@ func main() {
 		db        = flag.Int("db", 0, "database size override (sequences)")
 		width     = flag.String("width", "auto", "search-pipeline vector width: 256, 512, or auto")
 		backend   = flag.String("backend", "auto", "execution backend: auto, modeled, or native (instrumented figures resolve auto to modeled)")
-		kernel    = flag.String("kernel", "auto", "kernel family: auto, diagonal, striped, or lazyf (instrumented figures resolve auto to diagonal)")
+		kernel    = flag.String("kernel", "auto", "modeled-backend kernel family: auto (diagonal), diagonal, striped, or lazyf; the native backend ignores it")
 		pipeStats = flag.Bool("stats", false, "print the cumulative per-stage pipeline counters after the run")
 	)
 	flag.Parse()

@@ -85,7 +85,7 @@ func main() {
 		admin      = flag.String("admin", "", "opt-in admin address serving /debug/vars and pprof")
 		timeout    = flag.Duration("timeout", 30*time.Second, "client-mode dial and I/O deadline (0 disables)")
 		backendStr = flag.String("backend", "auto", "execution backend: auto (native), modeled, or native")
-		kernelStr  = flag.String("kernel", "auto", "kernel family: auto (per-query planner), diagonal, striped, or lazyf")
+		kernelStr  = flag.String("kernel", "auto", "modeled-backend kernel family: auto (diagonal), diagonal, striped, or lazyf; the native backend ignores it")
 		shardIdx   = flag.Int("shard-index", 0, "serve only shard shard-index of a shard-count cluster")
 		shardCount = flag.Int("shard-count", 0, "total shards in the cluster (0 = standalone)")
 	)

@@ -1,8 +1,10 @@
 // dbsearch demonstrates usage scenario 1 (§II-C): one protein query
-// streamed against a database. The database is batched offline into
-// 32-sequence transposed blocks, the 8-bit interleaved engine scores
-// every batch across all CPU cores, and saturated scores are rescued
-// at 16 bits.
+// streamed against a database. The database is batched into
+// 32-sequence transposed blocks, and the native backend scores every
+// lane of every batch exactly, across all CPU cores. On the modeled
+// backend (swvec.WithBackend(swvec.BackendModeled)) the paper's 8-bit
+// interleaved engine scores the batches instead, and its saturated
+// lanes are rescued at 16 bits.
 package main
 
 import (

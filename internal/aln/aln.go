@@ -11,7 +11,7 @@ import (
 
 // Gaps holds affine gap penalties as positive costs: a gap of length k
 // costs Open + (k-1)*Extend. The linear gap model is the special case
-// Open == Extend.
+// Open == Extend. Validate bounds both penalties at 2^29.
 type Gaps struct {
 	Open   int32
 	Extend int32
@@ -28,13 +28,27 @@ func Linear(ext int32) Gaps { return Gaps{Open: ext, Extend: ext} }
 // IsLinear reports whether the gap model is effectively linear.
 func (g Gaps) IsLinear() bool { return g.Open == g.Extend }
 
-// Validate rejects non-positive or inconsistent penalties.
+// maxGapPenalty bounds both gap penalties so that no int32 recurrence
+// can wrap. E and F start at -2^29 in the int32 kernels (native.Pair32
+// and the modeled 32-bit engine) and at -2^30 in the scalar reference
+// (internal/baselines), and every later E or F is at least -Open. One
+// more subtraction of a penalty of at most 2^29 therefore stays at or
+// above -2^30 - 2^29, clear of the int32 floor of -2^31. The 8- and
+// 16-bit kernels clamp penalties to their element range first.
+const maxGapPenalty = 1 << 29
+
+// Validate rejects non-positive or inconsistent penalties, and
+// penalties above 2^29 (536870912), past which the int32 recurrences
+// could wrap.
 func (g Gaps) Validate() error {
 	if g.Open <= 0 || g.Extend <= 0 {
 		return fmt.Errorf("aln: gap penalties must be positive, got open=%d extend=%d", g.Open, g.Extend)
 	}
 	if g.Extend > g.Open {
 		return fmt.Errorf("aln: gap extend %d exceeds open %d", g.Extend, g.Open)
+	}
+	if g.Open > maxGapPenalty {
+		return fmt.Errorf("aln: gap open %d exceeds the bound %d", g.Open, maxGapPenalty)
 	}
 	return nil
 }

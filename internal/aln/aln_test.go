@@ -14,10 +14,17 @@ func TestGapsValidate(t *testing.T) {
 		{Open: 1, Extend: 0},
 		{Open: -2, Extend: 1},
 		{Open: 1, Extend: 2},
+		{Open: maxGapPenalty + 1, Extend: 1},
+		{Open: maxGapPenalty + 1, Extend: maxGapPenalty + 1},
 	}
 	for _, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Errorf("gaps %+v accepted", g)
+		}
+	}
+	for _, g := range []Gaps{{Open: maxGapPenalty, Extend: 1}, {Open: maxGapPenalty, Extend: maxGapPenalty}} {
+		if err := g.Validate(); err != nil {
+			t.Errorf("gaps %+v at the bound rejected: %v", g, err)
 		}
 	}
 }

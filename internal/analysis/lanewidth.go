@@ -9,9 +9,10 @@ import (
 
 // laneWidthScope lists the package-path suffixes the analyzer applies
 // to: the kernel and scheduler packages, where every 32/64 must be the
-// engine's lane count in disguise. internal/native is held to the same
-// rule: each compiled kernel's lane count is a named per-kernel
-// constant (strideBatch8x32, ...), never a bare literal.
+// engine's lane count in disguise. internal/native's one kernel,
+// Pair32, has no lanes; the package stays in scope so that any
+// lane-shaped native kernel (a SWAR one, say) is held to the same rule
+// from its first line.
 var laneWidthScope = []string{"internal/core", "internal/sched", "internal/native"}
 
 // laneNames are the identifier/parameter names that denote a lane

@@ -6,12 +6,15 @@ import "fmt"
 //
 // The modeled backend is the paper apparatus: kernels interpret the
 // vek vector machine op by op, so every issue can be tallied and fed
-// to the architecture cost model. The native backend runs the
-// specialized compiled kernels in internal/native — identical scores,
-// saturation flags, and hit positions (enforced by the differential
-// suite and FuzzNativeVsModeled), but at hardware speed and with no
-// per-op accounting. Figures and profiling runs therefore need the
-// modeled backend; serving traffic wants the native one.
+// to the architecture cost model, and its 8- and 16-bit kernels
+// saturate and escalate. The native backend runs one kernel,
+// native.Pair32, for every score-only call: the exact score on the
+// first pass (enforced against the scalar reference and the modeled
+// adaptive ladder by the differential suite and FuzzNativeVsModeled),
+// never a saturation flag, no kernel family, and no per-op
+// accounting. Traceback and position tracking run modeled on either
+// backend. Figures and profiling runs therefore need the modeled
+// backend; serving traffic wants the native one.
 type Backend uint8
 
 const (
@@ -22,7 +25,7 @@ const (
 	BackendAuto Backend = iota
 	// BackendModeled interprets the vek machine (cost-model accurate).
 	BackendModeled
-	// BackendNative runs the compiled kernels in internal/native.
+	// BackendNative runs the exact kernel in internal/native.
 	BackendNative
 )
 

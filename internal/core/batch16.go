@@ -16,8 +16,17 @@ import (
 //
 // Substitution scores come from the same shuffle tables as the 8-bit
 // engine, widened per column; scores saturate at 32767 (flagged for
-// the 32-bit pair kernel).
+// the 32-bit pair kernel). On the native backend it runs the same
+// exact lane loop as AlignBatch8.
 func AlignBatch16(mch vek.Machine, query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt BatchOptions) (BatchResult, error) {
+	if useNativeBatch(tables, &opt) {
+		var out [1]BatchResult
+		if err := checkBatch([][]uint8{query}, batch, &opt); err != nil {
+			return out[0], err
+		}
+		nativeBatch([][]uint8{query}, tables.Matrix(), batch, opt.Gaps, batchScratchOrLocal(&opt), out[:])
+		return out[0], nil
+	}
 	if stripedBatchOK(tables, &opt) {
 		var res BatchResult
 		if err := checkBatch([][]uint8{query}, batch, &opt); err != nil {
@@ -25,15 +34,6 @@ func AlignBatch16(mch vek.Machine, query []uint8, tables *submat.CodeTables, bat
 		}
 		err := stripedBatch16(mch, query, tables, batch, &opt, &res)
 		return res, err
-	}
-	if useNativeBatch(tables, &opt) {
-		var res BatchResult
-		if err := checkBatch([][]uint8{query}, batch, &opt); err != nil {
-			return res, err
-		}
-		s := batchScratchOrLocal(&opt)
-		nativeBatch16(query, tables, batch, &opt, s, &res)
-		return res, nil
 	}
 	if batch.Stride() == seqio.MaxBatchLanes {
 		return alignBatch[vek.I16x32, int16](be16x32{}, mch, query, tables, batch, opt)

@@ -35,12 +35,15 @@ type BatchOptions struct {
 	// worker; nil allocates per call. See Scratch.
 	Scratch *Scratch
 	// Backend selects the execution backend, as in
-	// PairOptions.Backend. EagerMax forces the modeled backend.
+	// PairOptions.Backend: BackendNative scores each lane on its own
+	// with native.Pair32, exact and never saturated, whatever the entry
+	// point's width. EagerMax forces the modeled backend.
 	Backend Backend
-	// Kernel selects the kernel family, as in PairOptions.Kernel. The
-	// striped family aligns each lane's sequence with the striped pair
-	// kernel instead of the interleaved anti-diagonal batch engine;
-	// EagerMax (a diagonal-engine ablation) forces the diagonal family.
+	// Kernel selects the modeled kernel family, as in
+	// PairOptions.Kernel. The striped family aligns each lane's
+	// sequence with the striped pair kernel instead of the interleaved
+	// anti-diagonal batch engine; EagerMax (a diagonal-engine ablation)
+	// forces the diagonal family. The native backend ignores it.
 	Kernel Kernel
 }
 
@@ -53,6 +56,7 @@ type BatchResult struct {
 	// Saturated marks lanes whose score hit the engine's ceiling; the
 	// score is then a lower bound and the caller reruns the lane at
 	// the next wider bit width (the variable 8/16-bit width scheme).
+	// Only the modeled engines saturate; on native it stays false.
 	Saturated [seqio.MaxBatchLanes]bool
 }
 
@@ -63,7 +67,8 @@ type BatchResult struct {
 // the paper's high-throughput 8-bit path: roughly half a vector
 // instruction per DP cell, no gathers, and per-lane deferred maxima.
 // A 32-lane batch runs on the 256-bit engine, a 64-lane batch on the
-// 512-bit one.
+// 512-bit one. On the native backend the batch runs the native lane
+// loop instead: each lane exactly, with no ceiling.
 func AlignBatch8(mch vek.Machine, query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt BatchOptions) (BatchResult, error) {
 	var res BatchResult
 	if err := checkBatch([][]uint8{query}, batch, &opt); err != nil {
@@ -72,14 +77,14 @@ func AlignBatch8(mch vek.Machine, query []uint8, tables *submat.CodeTables, batc
 	if opt.Gaps.Open > 127 {
 		return res, fmt.Errorf("core: gap open %d exceeds the 8-bit range", opt.Gaps.Open)
 	}
+	if useNativeBatch(tables, &opt) {
+		var out [1]BatchResult
+		nativeBatch([][]uint8{query}, tables.Matrix(), batch, opt.Gaps, batchScratchOrLocal(&opt), out[:])
+		return out[0], nil
+	}
 	if stripedBatchOK(tables, &opt) {
 		err := stripedBatch8(mch, query, tables, batch, &opt, &res)
 		return res, err
-	}
-	if useNativeBatch(tables, &opt) {
-		s := batchScratchOrLocal(&opt)
-		nativeBatch8(query, tables, batch, &opt, s, &res)
-		return res, nil
 	}
 	if batch.Stride() == seqio.MaxBatchLanes {
 		return alignBatch[vek.I8x64, int8](be8x64{}, mch, query, tables, batch, opt)
@@ -93,7 +98,9 @@ func AlignBatch8(mch vek.Machine, query []uint8, tables *submat.CodeTables, batc
 // — the scenario-2 lever of §IV-G — the per-code score scratch is
 // shared, since it depends only on the batch and the residue code, not
 // on the query. With the whole-row traversal (BlockCols == 0) a code's
-// scores are computed once for the entire query set.
+// scores are computed once for the entire query set. On the native
+// backend each lane is copied out of the batch once and scored against
+// every query with native.Pair32.
 func AlignBatch8Multi(mch vek.Machine, queries [][]uint8, tables *submat.CodeTables, batch *seqio.Batch, opt BatchOptions) ([]BatchResult, error) {
 	if len(queries) == 0 {
 		return nil, fmt.Errorf("core: no queries")
@@ -104,6 +111,11 @@ func AlignBatch8Multi(mch vek.Machine, queries [][]uint8, tables *submat.CodeTab
 	if opt.Gaps.Open > 127 {
 		return nil, fmt.Errorf("core: gap open %d exceeds the 8-bit range", opt.Gaps.Open)
 	}
+	if useNativeBatch(tables, &opt) {
+		out := make([]BatchResult, len(queries))
+		nativeBatch(queries, tables.Matrix(), batch, opt.Gaps, batchScratchOrLocal(&opt), out)
+		return out, nil
+	}
 	if stripedBatchOK(tables, &opt) {
 		// The striped profile cache is keyed by query, so the multi-query
 		// amortization here is the profile, not the score scratch.
@@ -112,14 +124,6 @@ func AlignBatch8Multi(mch vek.Machine, queries [][]uint8, tables *submat.CodeTab
 			if err := stripedBatch8(mch, queries[qi], tables, batch, &opt, &out[qi]); err != nil {
 				return nil, err
 			}
-		}
-		return out, nil
-	}
-	if useNativeBatch(tables, &opt) {
-		s := batchScratchOrLocal(&opt)
-		out := make([]BatchResult, len(queries))
-		for qi := range queries {
-			nativeBatch8(queries[qi], tables, batch, &opt, s, &out[qi])
 		}
 		return out, nil
 	}

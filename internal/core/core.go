@@ -6,7 +6,10 @@
 // query-profile shuffles (8-bit lanes), deferred per-lane maxima, an
 // interleaved 32-sequence batch engine for database search, optional
 // traceback recording in diagonal-linearized storage, and variable
-// 8/16-bit width with saturation-triggered escalation.
+// 8/16-bit width with saturation-triggered escalation. These are the
+// modeled backend's kernels; on the native backend every score-only
+// entry point runs the one exact kernel in internal/native (see
+// native.go).
 package core
 
 import (
@@ -56,21 +59,24 @@ type PairOptions struct {
 	// end of the alignment.
 	EagerMax bool
 	// Scratch supplies reusable working buffers owned by the calling
-	// worker (currently used by the 32-bit kernel, the search
-	// pipeline's final escalation tier); nil allocates per call.
+	// worker (the modeled kernels' diagonal buffers and profile caches,
+	// the native kernel's rows); nil allocates per call.
 	Scratch *Scratch
 	// Backend selects the execution backend. BackendAuto and
 	// BackendModeled run the instrumented vek machine; BackendNative
-	// runs the compiled kernels in internal/native, which produce
-	// bit-identical results but no instruction tallies. Modeled-only
-	// features (Traceback, EagerMax) force the modeled backend.
+	// runs every score-only call, whatever its entry point's width, on
+	// native.Pair32: the exact score, never saturated, and no
+	// instruction tallies. The modeled-only features (Traceback,
+	// TrackPosition, EagerMax, RowMajorLayout) force the modeled
+	// backend.
 	Backend Backend
-	// Kernel selects the kernel family. KernelAuto and KernelDiagonal
-	// run the anti-diagonal wavefront kernel; the striped family
-	// (KernelStriped, KernelLazyF) runs Farrar's segmented layout,
-	// which is score-only: requests that need positions or traceback
-	// (Traceback, TrackPosition) and the modeled-only ablations
-	// (EagerMax, RowMajorLayout) stay on the diagonal family.
+	// Kernel selects the modeled kernel family. KernelAuto and
+	// KernelDiagonal run the anti-diagonal wavefront kernel; the
+	// striped family (KernelStriped, KernelLazyF) runs Farrar's
+	// segmented layout, which is score-only: requests that need
+	// positions or traceback (Traceback, TrackPosition) and the
+	// modeled-only ablations (EagerMax, RowMajorLayout) stay on the
+	// diagonal family. The native backend ignores it.
 	Kernel Kernel
 }
 

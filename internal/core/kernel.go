@@ -2,7 +2,8 @@ package core
 
 import "fmt"
 
-// Kernel selects which kernel family computes an alignment.
+// Kernel selects which kernel family computes an alignment on the
+// modeled backend.
 //
 // The diagonal family is the paper's anti-diagonal wavefront kernel —
 // the apparatus every figure instruments. The striped family is
@@ -12,14 +13,15 @@ import "fmt"
 // the loop with a fixed-cost weighted prefix-max scan plus one merge
 // sweep. All three families produce bit-identical scores and
 // saturation flags (enforced by FuzzKernelsVsDiagonal and the
-// equivalence suite), so the planner is free to pick per query.
+// equivalence suite). A family is a modeled-backend choice: the native
+// backend has one kernel, native.Pair32, and ignores it.
 type Kernel uint8
 
 const (
-	// KernelAuto lets the caller's layer pick: the search scheduler's
-	// planner resolves it per query shape (see sched.Options); the core
-	// entry points treat it as Diagonal, keeping the paper kernel the
-	// default for direct callers.
+	// KernelAuto lets the caller's layer pick: the search scheduler
+	// resolves it to Diagonal on the modeled backend and leaves it Auto
+	// on native (see sched.Options); the core entry points treat it as
+	// Diagonal, keeping the paper kernel the default for direct callers.
 	KernelAuto Kernel = iota
 	// KernelDiagonal runs the anti-diagonal wavefront kernel.
 	KernelDiagonal

@@ -7,56 +7,27 @@ import (
 	"swvec/internal/submat"
 )
 
-// This file is the glue between the core entry points and the
-// compiled kernels in internal/native: scratch-row plumbing, shape
-// dispatch, and result packaging. The entry points route here when
-// opt.Backend == BackendNative and no modeled-only knob (traceback,
-// eager reduction) is set; everything else — validation, option
-// normalization, the adaptive escalation ladder — stays shared with
-// the modeled backend.
+// This file is the glue between the core entry points and the native
+// backend's one kernel, native.Pair32: scratch-row plumbing and the
+// batch lane loop. Every score-only entry point routes here when
+// opt.Backend == BackendNative, whatever its nominal element width or
+// kernel family: Pair32 is exact and never saturates, so a native
+// result never asks for a rescue. The modeled-only knobs (traceback,
+// position tracking, eager reduction, row-major layout) keep those
+// calls on the modeled kernels; validation stays shared.
 
 // useNativeBatch reports whether a batch call should run on the
-// compiled kernels: native backend requested, no modeled-only
+// native lane loop: native backend requested, no modeled-only
 // ablation, and tables built by NewCodeTables (a zero-value CodeTables
 // has no matrix to score from).
 func useNativeBatch(tables *submat.CodeTables, opt *BatchOptions) bool {
 	return opt.Backend == BackendNative && !opt.EagerMax && tables.Matrix() != nil
 }
 
-// nativeBatch8 runs one query through the 8-bit compiled batch kernel
-// of the batch's shape.
-//
-//sw:hotpath
-func nativeBatch8(query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *BatchOptions, s *Scratch, res *BatchResult) {
-	t8 := s.codes(batch.T)
-	n := batch.MaxLen
-	stride := batch.Stride()
-	h := growE(&s.hRow8, n*stride)
-	f := growE(&s.fRow8, n*stride)
-	mat := tables.Matrix()
-	if stride == seqio.MaxBatchLanes {
-		native.Batch8x64(query, t8, n, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f, res.Scores[:], res.Saturated[:])
-		return
-	}
-	native.Batch8x32(query, t8, n, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f, res.Scores[:], res.Saturated[:])
-}
-
-// nativeBatch16 runs one query through the 16-bit compiled batch
-// kernel of the batch's shape.
-//
-//sw:hotpath
-func nativeBatch16(query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *BatchOptions, s *Scratch, res *BatchResult) {
-	t8 := s.codes(batch.T)
-	n := batch.MaxLen
-	stride := batch.Stride()
-	h := growE(&s.hRow16, n*stride)
-	f := growE(&s.fRow16, n*stride)
-	mat := tables.Matrix()
-	if stride == seqio.MaxBatchLanes {
-		native.Batch16x32(query, t8, n, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f, res.Scores[:], res.Saturated[:])
-		return
-	}
-	native.Batch16x16(query, t8, n, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f, res.Scores[:], res.Saturated[:])
+// nativePairOK reports whether a score-only pair call runs on
+// native.Pair32; the modeled-only knobs keep it on the modeled kernels.
+func nativePairOK(opt *PairOptions) bool {
+	return opt.Backend == BackendNative && !opt.Traceback && !opt.TrackPosition && !opt.EagerMax && !opt.RowMajorLayout
 }
 
 // batchScratchOrLocal resolves the caller's scratch, preserving the
@@ -68,26 +39,31 @@ func batchScratchOrLocal(opt *BatchOptions) *Scratch {
 	return &Scratch{}
 }
 
-// pairRows8 returns the 8-bit pair kernel's H/F rows (uninitialized;
+// nativeBatch is the native batch stage: it copies each lane's
+// residues out of the transposed batch into a scratch row once, then
+// scores that row against every query with native.Pair32 and the
+// caller's gaps. out[qi] receives query qi's lane scores; padding
+// lanes and the saturation flags keep the zero the caller gave them.
+//
+//sw:hotpath
+func nativeBatch(queries [][]uint8, mat *submat.Matrix, batch *seqio.Batch, gaps aln.Gaps, s *Scratch, out []BatchResult) {
+	seq := growE(&s.laneSeq, batch.MaxLen)
+	h, f := pairRows32(s, batch.MaxLen)
+	stride := batch.Stride()
+	out = out[:len(queries)]
+	for lane, n := range batch.Lens[:batch.Count] {
+		row := seq[:n]
+		for j := range row {
+			row[j] = batch.T[j*stride+lane]
+		}
+		for qi, q := range queries {
+			out[qi].Scores[lane] = native.Pair32(q, row, mat, gaps.Open, gaps.Extend, h, f)
+		}
+	}
+}
+
+// pairRows32 returns the 32-bit pair kernel's H/F rows (uninitialized;
 // the kernel fills them).
-func pairRows8(s *Scratch, n int) (h, f []int8) {
-	if s == nil {
-		//swlint:ignore hotpathalloc nil scratch keeps the allocate-per-call contract; the pipeline always passes one
-		return make([]int8, n), make([]int8, n)
-	}
-	return growE(&s.nph8, n), growE(&s.npf8, n)
-}
-
-// pairRows16 returns the 16-bit pair kernel's H/F rows.
-func pairRows16(s *Scratch, n int) (h, f []int16) {
-	if s == nil {
-		//swlint:ignore hotpathalloc nil scratch keeps the allocate-per-call contract; the pipeline always passes one
-		return make([]int16, n), make([]int16, n)
-	}
-	return growE(&s.nph16, n), growE(&s.npf16, n)
-}
-
-// pairRows32 returns the 32-bit pair kernel's H/F rows.
 func pairRows32(s *Scratch, n int) (h, f []int32) {
 	if s == nil {
 		//swlint:ignore hotpathalloc nil scratch keeps the allocate-per-call contract; the pipeline always passes one
@@ -96,35 +72,12 @@ func pairRows32(s *Scratch, n int) (h, f []int32) {
 	return growE(&s.nph32, n), growE(&s.npf32, n)
 }
 
-// nativePair8 runs one pair on the compiled 8-bit kernel. Options must
-// already be normalized by pair8Opt (gaps clamped to the byte range).
-//
-//sw:hotpath
-func nativePair8(q, dseq []uint8, mat *submat.Matrix, opt *PairOptions) aln.ScoreResult {
-	h, f := pairRows8(opt.Scratch, len(dseq))
-	score, sat := native.Pair8(q, dseq, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f)
-	return aln.ScoreResult{Score: score, EndQ: -1, EndD: -1, Saturated: sat}
-}
-
-// nativePair16 runs one pair on the compiled 16-bit kernel, with
-// position tracking when requested.
-//
-//sw:hotpath
-func nativePair16(q, dseq []uint8, mat *submat.Matrix, opt *PairOptions) aln.ScoreResult {
-	h, f := pairRows16(opt.Scratch, len(dseq))
-	if opt.TrackPosition {
-		score, endQ, endD, sat := native.Pair16Pos(q, dseq, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f)
-		return aln.ScoreResult{Score: score, EndQ: endQ, EndD: endD, Saturated: sat}
-	}
-	score, sat := native.Pair16(q, dseq, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f)
-	return aln.ScoreResult{Score: score, EndQ: -1, EndD: -1, Saturated: sat}
-}
-
-// nativePair32 runs one pair on the compiled 32-bit kernel.
+// nativePair32 runs one score-only pair on native.Pair32 with the
+// caller's gaps.
 //
 //sw:hotpath
 func nativePair32(q, dseq []uint8, mat *submat.Matrix, opt *PairOptions) aln.ScoreResult {
 	h, f := pairRows32(opt.Scratch, len(dseq))
-	score, sat := native.Pair32(q, dseq, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f)
-	return aln.ScoreResult{Score: score, EndQ: -1, EndD: -1, Saturated: sat}
+	score := native.Pair32(q, dseq, mat, opt.Gaps.Open, opt.Gaps.Extend, h, f)
+	return aln.ScoreResult{Score: score, EndQ: -1, EndD: -1}
 }

@@ -4,17 +4,19 @@ import (
 	"testing"
 
 	"swvec/internal/aln"
+	"swvec/internal/baselines"
 	"swvec/internal/seqio"
 	"swvec/internal/submat"
 	"swvec/internal/vek"
 )
 
-// The native backend must be bit-identical to the modeled machine:
-// same scores, same saturation flags, same hit positions, for every
-// entry point, width, matrix family, and gap model. These tests run
-// every case through both backends and compare the full results, so
-// any drift in the compiled kernels fails loudly rather than skewing
-// search output.
+// The native backend computes every score-only result with
+// native.Pair32: exact on the first pass and never saturated, whatever
+// the entry point's nominal width or kernel family. These tests hold
+// every native entry point to the scalar reference, and the modeled
+// adaptive ladder to the same score, for every width, matrix family
+// and gap model; the modeled-only knobs must keep reaching the modeled
+// kernels.
 
 // nativeMatrices is the matrix families the kernels special-case:
 // full substitution (gather/profile scoring), fixed match/mismatch
@@ -39,17 +41,22 @@ func nativeGaps() []aln.Gaps {
 	}
 }
 
-func comparePairResults(t *testing.T, name string, mod, nat aln.ScoreResult) {
-	t.Helper()
-	if mod != nat {
-		t.Errorf("%s: modeled %+v != native %+v", name, mod, nat)
-	}
-}
-
-// checkPairBackends runs one (q, d, mat, gaps) case through every pair
-// entry point on both backends and requires identical results.
+// checkPairBackends runs one (q, d, mat, gaps) case through every
+// score-only pair entry point on the native backend, under every
+// kernel family, and requires the scalar reference's exact score with
+// no saturation flag and the score-only -1 positions. The modeled
+// adaptive ladder must land on the same score, and position tracking,
+// a modeled-only knob, must return the modeled result on native.
 func checkPairBackends(t *testing.T, q, d []uint8, mat *submat.Matrix, gaps aln.Gaps) {
 	t.Helper()
+	want := aln.ScoreResult{Score: baselines.ScalarAffine(q, d, mat, gaps).Score, EndQ: -1, EndD: -1}
+	mod, _, err := AlignPairAdaptive(vek.Bare, q, d, mat, PairOptions{Gaps: gaps, Backend: BackendModeled})
+	if err != nil {
+		t.Fatalf("adaptive modeled: %v", err)
+	}
+	if mod != want {
+		t.Errorf("adaptive modeled %+v, scalar %+v", mod, want)
+	}
 	type pairFn struct {
 		name string
 		run  func(PairOptions) (aln.ScoreResult, error)
@@ -65,11 +72,6 @@ func checkPairBackends(t *testing.T, q, d []uint8, mat *submat.Matrix, gaps aln.
 			r, _, err := AlignPair16(vek.Bare, q, d, mat, o)
 			return r, err
 		}},
-		{"pair16pos", func(o PairOptions) (aln.ScoreResult, error) {
-			o.TrackPosition = true
-			r, _, err := AlignPair16(vek.Bare, q, d, mat, o)
-			return r, err
-		}},
 		{"pair16w", func(o PairOptions) (aln.ScoreResult, error) {
 			return AlignPair16W(vek.Bare, q, d, mat, o)
 		}},
@@ -82,15 +84,28 @@ func checkPairBackends(t *testing.T, q, d []uint8, mat *submat.Matrix, gaps aln.
 		}},
 	}
 	for _, fn := range fns {
-		mod, err := fn.run(PairOptions{Gaps: gaps, Backend: BackendModeled})
-		if err != nil {
-			t.Fatalf("%s modeled: %v", fn.name, err)
+		for _, kern := range []Kernel{KernelAuto, KernelStriped, KernelLazyF} {
+			nat, err := fn.run(PairOptions{Gaps: gaps, Backend: BackendNative, Kernel: kern})
+			if err != nil {
+				t.Fatalf("%s native kernel=%v: %v", fn.name, kern, err)
+			}
+			if nat != want {
+				t.Errorf("%s native kernel=%v: %+v, scalar %+v", fn.name, kern, nat, want)
+			}
 		}
-		nat, err := fn.run(PairOptions{Gaps: gaps, Backend: BackendNative})
-		if err != nil {
-			t.Fatalf("%s native: %v", fn.name, err)
-		}
-		comparePairResults(t, fn.name, mod, nat)
+	}
+	pos := PairOptions{Gaps: gaps, TrackPosition: true, Backend: BackendModeled}
+	modPos, _, err := AlignPair16(vek.Bare, q, d, mat, pos)
+	if err != nil {
+		t.Fatalf("pair16pos modeled: %v", err)
+	}
+	pos.Backend = BackendNative
+	natPos, _, err := AlignPair16(vek.Bare, q, d, mat, pos)
+	if err != nil {
+		t.Fatalf("pair16pos native: %v", err)
+	}
+	if natPos != modPos {
+		t.Errorf("pair16pos: native %+v != modeled %+v", natPos, modPos)
 	}
 }
 
@@ -119,8 +134,11 @@ func TestNativePairMatchesModeled(t *testing.T) {
 }
 
 // TestNativePairRelated drives long, high-identity pairs through both
-// backends: these saturate the 8-bit tier and score high in the 16-bit
-// one, so the saturation flags and the escalation ladder must agree.
+// backends: these saturate the modeled 8-bit tier and score high in
+// the 16-bit one, while every native entry point scores them exactly
+// on the first pass. A gap open above the 8-bit range checks that the
+// 8-bit entry points hand native.Pair32 the caller's gaps, not the
+// byte-clamped ones their modeled kernels run with.
 func TestNativePairRelated(t *testing.T) {
 	g := seqio.NewGenerator(302)
 	for trial := 0; trial < 6; trial++ {
@@ -128,40 +146,79 @@ func TestNativePairRelated(t *testing.T) {
 		rel := g.Related(src, "rel", 0.1, 0.02)
 		q := src.Encode(protAlpha)
 		d := rel.Encode(protAlpha)
-		checkPairBackends(t, q, d, b62, aln.DefaultGaps())
+		for _, gaps := range []aln.Gaps{aln.DefaultGaps(), {Open: 200, Extend: 1}} {
+			checkPairBackends(t, q, d, b62, gaps)
+		}
 	}
 }
 
-// TestNativePairPositionTiebreak pins the modeled tracker's tie-break
-// (smallest anti-diagonal, then smallest row, -1/-1 on a zero score)
-// against the native position kernel on directed cases.
-func TestNativePairPositionTiebreak(t *testing.T) {
-	cases := []struct{ q, d string }{
-		{"MKVLAW", "MKVLAW"},
-		{"AAAA", "AAAA"},     // many equal-scoring cells
-		{"AWAWAW", "WAWAWA"}, // repeated motif, diagonal ties
-		{"MKV", "QQQ"},       // zero score: positions must be -1/-1
+// TestPairPositionTiebreak pins the modeled position tracker's
+// contract by value: the winning cell is the maximum-scoring cell with
+// the smallest anti-diagonal (i+j), then the smallest row, and the
+// coordinates are -1/-1 on a zero score. A native position kernel must
+// reproduce it.
+func TestPairPositionTiebreak(t *testing.T) {
+	cases := []struct {
+		q, d       string
+		score      int32
+		endQ, endD int
+	}{
+		{"MKVLAW", "MKVLAW", 33, 5, 5},
+		{"AAAA", "AAAA", 16, 3, 3},     // many equal-scoring cells
+		{"AWAWAW", "WAWAWA", 41, 5, 4}, // repeated motif, diagonal ties
+		{"MKV", "QQQ", 1, 1, 0},        // K/Q ties along row 1: smallest column
+		// W/W at (0,4) and M/M+F/F ending at (2,1) both score 11:
+		// row-major order meets (0,4) first, but (2,1) lies on the
+		// smaller anti-diagonal and wins.
+		{"WMF", "MFPPW", 11, 2, 1},
+		// The same tie on one anti-diagonal: (0,3) and (2,1) both lie on
+		// i+j = 3, and the smaller row wins.
+		{"WMF", "MFPW", 11, 0, 3},
+		{"MKV", "PPP", 0, -1, -1}, // zero score: no end cell
 	}
 	for _, c := range cases {
 		q, d := enc(c.q), enc(c.d)
-		opt := PairOptions{Gaps: aln.DefaultGaps(), TrackPosition: true}
-		opt.Backend = BackendModeled
-		mod, _, err := AlignPair16(vek.Bare, q, d, b62, opt)
+		got, _, err := AlignPair16(vek.Bare, q, d, b62,
+			PairOptions{Gaps: aln.DefaultGaps(), TrackPosition: true, Backend: BackendModeled})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt.Backend = BackendNative
-		nat, _, err := AlignPair16(vek.Bare, q, d, b62, opt)
-		if err != nil {
-			t.Fatal(err)
+		want := aln.ScoreResult{Score: c.score, EndQ: c.endQ, EndD: c.endD}
+		if got != want {
+			t.Errorf("%s/%s: %+v, want %+v", c.q, c.d, got, want)
 		}
-		comparePairResults(t, "pair16pos "+c.q+"/"+c.d, mod, nat)
 	}
 }
 
-// checkBatchBackends aligns one query against one batch at 8 and 16
-// bits on both backends and requires identical score and saturation
-// arrays (all lanes, padding included).
+// laneResidues returns lane's residue codes out of the transposed
+// batch.
+func laneResidues(b *seqio.Batch, lane int) []uint8 {
+	out := make([]uint8, b.Lens[lane])
+	for j := range out {
+		out[j] = b.T[j*b.Stride()+lane]
+	}
+	return out
+}
+
+// checkNativeBatch requires a native batch result to hold the scalar
+// reference's score in every real lane and zero in every padding lane,
+// with no saturation flag anywhere.
+func checkNativeBatch(t *testing.T, name string, query []uint8, mat *submat.Matrix, batch *seqio.Batch, gaps aln.Gaps, nat BatchResult) {
+	t.Helper()
+	var want BatchResult
+	for lane := 0; lane < batch.Count; lane++ {
+		want.Scores[lane] = baselines.ScalarAffine(query, laneResidues(batch, lane), mat, gaps).Score
+	}
+	if nat != want {
+		t.Errorf("%s lanes=%d: native batch diverges from the scalar reference\nnative %v\nscalar %v",
+			name, batch.Stride(), nat.Scores, want.Scores)
+	}
+}
+
+// checkBatchBackends aligns one query against one batch through the
+// 8- and 16-bit batch entry points on both backends: native must match
+// the scalar reference exactly and unflagged, and the modeled engine
+// must agree with native on every lane it did not flag as saturated.
 func checkBatchBackends(t *testing.T, query []uint8, tables *submat.CodeTables, batch *seqio.Batch, gaps aln.Gaps) {
 	t.Helper()
 	for _, width := range []struct {
@@ -183,12 +240,12 @@ func checkBatchBackends(t *testing.T, query []uint8, tables *submat.CodeTables, 
 		if err != nil {
 			t.Fatalf("%s native: %v", width.name, err)
 		}
-		if mod.Scores != nat.Scores {
-			t.Errorf("%s lanes=%d: scores diverge\nmodeled %v\nnative  %v",
-				width.name, batch.Stride(), mod.Scores, nat.Scores)
-		}
-		if mod.Saturated != nat.Saturated {
-			t.Errorf("%s lanes=%d: saturation flags diverge", width.name, batch.Stride())
+		checkNativeBatch(t, width.name, query, tables.Matrix(), batch, gaps, nat)
+		for lane := 0; lane < batch.Stride(); lane++ {
+			if !mod.Saturated[lane] && mod.Scores[lane] != nat.Scores[lane] {
+				t.Errorf("%s lanes=%d lane %d: modeled %d, native %d",
+					width.name, batch.Stride(), lane, mod.Scores[lane], nat.Scores[lane])
+			}
 		}
 	}
 }
@@ -198,7 +255,7 @@ func TestNativeBatchMatchesModeled(t *testing.T) {
 	db := g.Database(70)
 	tables := submat.NewCodeTables(b62)
 	for _, lanes := range []int{seqio.BatchLanes, seqio.MaxBatchLanes} {
-		// A full batch and a partial one (padding lanes must agree too).
+		// A full batch and a partial one (padding lanes must stay zero).
 		full := make([]int, lanes)
 		for i := range full {
 			full[i] = i
@@ -215,8 +272,9 @@ func TestNativeBatchMatchesModeled(t *testing.T) {
 }
 
 // TestNativeBatchMultiMatchesModeled checks the shared-batch
-// multi-query path, which reuses one scratch across queries on both
-// backends.
+// multi-query path: each query's native lanes equal the one-query
+// native call and the scalar reference, and the modeled multi-query
+// engine agrees wherever it did not saturate.
 func TestNativeBatchMultiMatchesModeled(t *testing.T) {
 	g := seqio.NewGenerator(304)
 	db := g.Database(40)
@@ -234,21 +292,32 @@ func TestNativeBatchMultiMatchesModeled(t *testing.T) {
 		t.Fatal(err)
 	}
 	nat, err := AlignBatch8Multi(vek.Bare, queries, tables, b,
-		BatchOptions{Gaps: gaps, Backend: BackendNative})
+		BatchOptions{Gaps: gaps, Backend: BackendNative, Scratch: NewScratch()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for qi := range queries {
-		if mod[qi].Scores != nat[qi].Scores || mod[qi].Saturated != nat[qi].Saturated {
-			t.Errorf("query %d: multi results diverge", qi)
+	for qi, q := range queries {
+		checkNativeBatch(t, "multi", q, b62, b, gaps, nat[qi])
+		one, err := AlignBatch8(vek.Bare, q, tables, b, BatchOptions{Gaps: gaps, Backend: BackendNative})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one != nat[qi] {
+			t.Errorf("query %d: multi-query native lanes differ from the one-query call", qi)
+		}
+		for lane := 0; lane < b.Count; lane++ {
+			if !mod[qi].Saturated[lane] && mod[qi].Scores[lane] != nat[qi].Scores[lane] {
+				t.Errorf("query %d lane %d: modeled %d, native %d", qi, lane, mod[qi].Scores[lane], nat[qi].Scores[lane])
+			}
 		}
 	}
 }
 
-// TestNativeSaturationEscalation forces the full 8 -> 16 -> 32
-// escalation ladder: a 4000-residue identical pair under a +9 match
-// matrix scores 36000, past both the 8- and 16-bit ceilings. Both
-// backends must flag each tier and land on the same exact score.
+// TestNativeSaturationEscalation runs a pair past both the 8- and
+// 16-bit ceilings: a 4000-residue identical pair under a +9 match
+// matrix scores 36000. The modeled ladder must flag each tier and
+// land on the exact score; every native entry point must return that
+// score on the first pass, unflagged.
 func TestNativeSaturationEscalation(t *testing.T) {
 	mat := submat.MatchMismatch(protAlpha, 9, -4)
 	n := 4000
@@ -258,29 +327,47 @@ func TestNativeSaturationEscalation(t *testing.T) {
 	}
 	d := append([]uint8(nil), q...)
 	want := int32(9 * n)
-	for _, backend := range []Backend{BackendModeled, BackendNative} {
-		opt := PairOptions{Gaps: aln.DefaultGaps(), Backend: backend}
-		r8, err := AlignPair8(vek.Bare, q, d, mat, opt)
+	opt := PairOptions{Gaps: aln.DefaultGaps(), Backend: BackendModeled}
+	r8, err := AlignPair8(vek.Bare, q, d, mat, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r8.Saturated {
+		t.Fatalf("modeled 8-bit tier did not saturate (score %d)", r8.Score)
+	}
+	r16, _, err := AlignPair16(vek.Bare, q, d, mat, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r16.Saturated {
+		t.Fatalf("modeled 16-bit tier did not saturate (score %d)", r16.Score)
+	}
+	res, _, err := AlignPairAdaptive(vek.Bare, q, d, mat, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Score != want || res.Saturated {
+		t.Fatalf("modeled adaptive score %d (saturated %v), want %d exact", res.Score, res.Saturated, want)
+	}
+	opt.Backend = BackendNative
+	exact := aln.ScoreResult{Score: want, EndQ: -1, EndD: -1}
+	for name, run := range map[string]func() (aln.ScoreResult, error){
+		"pair8": func() (aln.ScoreResult, error) { return AlignPair8(vek.Bare, q, d, mat, opt) },
+		"pair16": func() (aln.ScoreResult, error) {
+			r, _, err := AlignPair16(vek.Bare, q, d, mat, opt)
+			return r, err
+		},
+		"adaptive": func() (aln.ScoreResult, error) {
+			r, _, err := AlignPairAdaptive(vek.Bare, q, d, mat, opt)
+			return r, err
+		},
+	} {
+		got, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !r8.Saturated {
-			t.Fatalf("backend %v: 8-bit tier did not saturate (score %d)", backend, r8.Score)
-		}
-		r16, _, err := AlignPair16(vek.Bare, q, d, mat, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r16.Saturated {
-			t.Fatalf("backend %v: 16-bit tier did not saturate (score %d)", backend, r16.Score)
-		}
-		res, _, err := AlignPairAdaptive(vek.Bare, q, d, mat, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Score != want || res.Saturated {
-			t.Fatalf("backend %v: adaptive score %d (saturated %v), want %d exact",
-				backend, res.Score, res.Saturated, want)
+		if got != exact {
+			t.Errorf("native %s: %+v, want %+v", name, got, exact)
 		}
 	}
 }
@@ -330,9 +417,11 @@ func TestProfileCacheHits(t *testing.T) {
 }
 
 // FuzzNativeVsModeled fuzzes the backend seam the same way
-// FuzzAlignWidths fuzzes the width ladder: arbitrary sequences, gap
-// models, and matrix families must produce identical results from both
-// backends at every entry point.
+// FuzzAlignWidths fuzzes the width ladder: for arbitrary sequences,
+// gap models, and matrix families, every native entry point must
+// return the scalar reference's score unflagged, and the modeled
+// adaptive ladder must agree (see checkPairBackends and
+// checkBatchBackends).
 func FuzzNativeVsModeled(f *testing.F) {
 	f.Add([]byte("MKVLAWMKVLAWMKVLAW"), []byte("MKVLAWMKVLNW"), byte(11), byte(1), false)
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"),

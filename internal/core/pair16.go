@@ -23,21 +23,20 @@ const lanes16 = 16
 // result carries the end coordinates; otherwise the trace is nil and,
 // unless opt.TrackPosition is set, EndQ/EndD are -1 (the deferred
 // maximum intentionally discards positions until the final reduction).
+// A score-only call on the native backend runs native.Pair32 instead:
+// the exact score, never saturated.
 func AlignPair16(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt PairOptions) (aln.ScoreResult, *TraceMatrix, error) {
 	if err := checkPair(q, dseq, &opt); err != nil {
 		return aln.ScoreResult{EndQ: -1, EndD: -1}, nil, err
+	}
+	if nativePairOK(&opt) {
+		return nativePair32(q, dseq, mat, &opt), nil, nil
 	}
 	// The striped family is score-only and affine-only; anything that
 	// needs positions, a trace, a diagonal-only ablation, or the linear
 	// gap model stays on the diagonal kernel.
 	if opt.Kernel.Striped() && !opt.Gaps.IsLinear() && !opt.Traceback && !opt.TrackPosition && !opt.EagerMax && !opt.RowMajorLayout {
-		if opt.Backend == BackendNative {
-			return nativeStripedPair16(q, dseq, mat, &opt, vek.E16x16{}.Lanes()), nil, nil
-		}
 		return alignStriped[vek.I16x16, int16](vek.E16x16{}, mch, q, dseq, mat, &opt, stripedState16(opt.Scratch)), nil, nil
-	}
-	if opt.Backend == BackendNative && !opt.Traceback && !opt.EagerMax {
-		return nativePair16(q, dseq, mat, &opt), nil, nil
 	}
 	bufs := &pairBufs[int16]{}
 	if opt.Scratch != nil {

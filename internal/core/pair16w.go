@@ -27,14 +27,11 @@ func AlignPair16W(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt Pair
 	opt.EagerMax = false
 	opt.RowMajorLayout = false
 	opt.ScalarTail = false
-	if opt.Kernel.Striped() && !opt.Gaps.IsLinear() {
-		if opt.Backend == BackendNative {
-			return nativeStripedPair16(q, dseq, mat, &opt, vek.E16x32{}.Lanes()), nil
-		}
-		return alignStriped[vek.I16x32, int16](vek.E16x32{}, mch, q, dseq, mat, &opt, stripedState16(opt.Scratch)), nil
-	}
 	if opt.Backend == BackendNative {
-		return nativePair16(q, dseq, mat, &opt), nil
+		return nativePair32(q, dseq, mat, &opt), nil
+	}
+	if opt.Kernel.Striped() && !opt.Gaps.IsLinear() {
+		return alignStriped[vek.I16x32, int16](vek.E16x32{}, mch, q, dseq, mat, &opt, stripedState16(opt.Scratch)), nil
 	}
 	bufs := &pairBufs[int16]{}
 	if opt.Scratch != nil {

@@ -19,7 +19,8 @@ const negInf32 = int32(-1 << 29)
 // It is the final escalation tier when 16-bit scores saturate, so the
 // whole adaptive chain stays vectorized. opt.Scratch, when set,
 // supplies the working buffers so the search pipeline's escalation
-// path does not allocate.
+// path does not allocate. On the native backend it runs
+// native.Pair32.
 func AlignPair32(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt PairOptions) (aln.ScoreResult, error) {
 	if err := checkPair(q, dseq, &opt); err != nil {
 		return aln.ScoreResult{EndQ: -1, EndD: -1}, err

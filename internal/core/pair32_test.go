@@ -6,6 +6,7 @@ import (
 	"swvec/internal/aln"
 	"swvec/internal/baselines"
 	"swvec/internal/seqio"
+	"swvec/internal/submat"
 	"swvec/internal/vek"
 )
 
@@ -97,5 +98,65 @@ func TestAdaptiveReaches32BitTier(t *testing.T) {
 func TestPair32Errors(t *testing.T) {
 	if _, err := AlignPair32(vek.Bare, nil, enc("ACD"), b62, defaultOpt()); err == nil {
 		t.Error("empty query accepted")
+	}
+}
+
+// ungappedBest is the best local alignment score without gaps: the
+// best Kadane run along every diagonal of the DP matrix.
+func ungappedBest(q, d []uint8, mat *submat.Matrix) int32 {
+	var best int32
+	for off := -len(q) + 1; off < len(d); off++ {
+		var run int32
+		for i := 0; i < len(q); i++ {
+			j := i + off
+			if j < 0 || j >= len(d) {
+				continue
+			}
+			run = max(run+int32(mat.Score(q[i], d[j])), 0)
+			best = max(best, run)
+		}
+	}
+	return best
+}
+
+// TestGapPenaltyBound runs the int32 recurrences — native.Pair32, the
+// modeled 32-bit kernel, the adaptive ladder on both backends and the
+// scalar reference — at the largest penalties aln.Gaps.Validate
+// accepts, where E and F come closest to the int32 floor. No gap can
+// pay for itself there, so every one must return the best ungapped
+// score; one past the bound must be refused.
+func TestGapPenaltyBound(t *testing.T) {
+	const bound = 1 << 29 // aln.Gaps.Validate's documented bound
+	q := enc("MKVLAWGHKLAMDERTY")
+	d := enc("MKVLAWDERTYGHKLAM")
+	want := ungappedBest(q, d, b62)
+	for _, gaps := range []aln.Gaps{{Open: bound, Extend: bound}, {Open: bound, Extend: 1}} {
+		if got := baselines.ScalarAffine(q, d, b62, gaps).Score; got != want {
+			t.Fatalf("gaps %+v: scalar reference %d, ungapped best %d", gaps, got, want)
+		}
+		for _, be := range []Backend{BackendModeled, BackendNative} {
+			opt := PairOptions{Gaps: gaps, Backend: be}
+			r32, err := AlignPair32(vek.Bare, q, d, b62, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra, _, err := AlignPairAdaptive(vek.Bare, q, d, b62, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r32.Score != want || ra.Score != want {
+				t.Errorf("gaps %+v backend=%v: pair32 %d, adaptive %d, want %d", gaps, be, r32.Score, ra.Score, want)
+			}
+		}
+	}
+	over := aln.Gaps{Open: bound + 1, Extend: 1}
+	for _, be := range []Backend{BackendModeled, BackendNative} {
+		opt := PairOptions{Gaps: over, Backend: be}
+		if _, err := AlignPair32(vek.Bare, q, d, b62, opt); err == nil {
+			t.Errorf("backend=%v: pair32 accepted gaps %+v past the bound", be, over)
+		}
+		if _, _, err := AlignPairAdaptive(vek.Bare, q, d, b62, opt); err == nil {
+			t.Errorf("backend=%v: adaptive accepted gaps %+v past the bound", be, over)
+		}
 	}
 }

@@ -35,19 +35,20 @@ func pair8Opt(opt PairOptions) PairOptions {
 // are assembled lane by lane from the query profile — the performance
 // problem §III-C describes, and the reason the 8-bit database-search
 // path uses the batch engine (AlignBatch8) instead.
+//
+// On the native backend every pair entry point, this one included,
+// runs native.Pair32 with the caller's gaps: the exact score, never
+// saturated.
 func AlignPair8(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt PairOptions) (aln.ScoreResult, error) {
 	if err := checkPair(q, dseq, &opt); err != nil {
 		return aln.ScoreResult{EndQ: -1, EndD: -1}, err
 	}
+	if opt.Backend == BackendNative {
+		return nativePair32(q, dseq, mat, &opt), nil
+	}
 	opt = pair8Opt(opt)
 	if opt.Kernel.Striped() && !opt.Gaps.IsLinear() {
-		if opt.Backend == BackendNative {
-			return nativeStripedPair8(q, dseq, mat, &opt, vek.E8x32{}.Lanes()), nil
-		}
 		return alignStriped[vek.I8x32, int8](vek.E8x32{}, mch, q, dseq, mat, &opt, stripedState8(opt.Scratch)), nil
-	}
-	if opt.Backend == BackendNative {
-		return nativePair8(q, dseq, mat, &opt), nil
 	}
 	// The scalar fallback handles partial tails: at 8 bits the padded
 	// tail would spend its masking ops on at most a few lanes' worth
@@ -69,15 +70,12 @@ func AlignPair8W(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt PairO
 	if err := checkPair(q, dseq, &opt); err != nil {
 		return aln.ScoreResult{EndQ: -1, EndD: -1}, err
 	}
+	if opt.Backend == BackendNative {
+		return nativePair32(q, dseq, mat, &opt), nil
+	}
 	opt = pair8Opt(opt)
 	if opt.Kernel.Striped() && !opt.Gaps.IsLinear() {
-		if opt.Backend == BackendNative {
-			return nativeStripedPair8(q, dseq, mat, &opt, vek.E8x64{}.Lanes()), nil
-		}
 		return alignStriped[vek.I8x64, int8](vek.E8x64{}, mch, q, dseq, mat, &opt, stripedState8(opt.Scratch)), nil
-	}
-	if opt.Backend == BackendNative {
-		return nativePair8(q, dseq, mat, &opt), nil
 	}
 	// At 64 lanes the padded tail wins back far more work than the
 	// scalar fallback, so the wide build keeps it.
@@ -93,8 +91,14 @@ func AlignPair8W(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt PairO
 // AlignPairAdaptive is the variable-bitwidth driver: run the cheap
 // 8-bit kernel first and escalate to 16 bits only when the score
 // saturates — the paper's "variable (8/16) bit width implementation" —
-// with a final 32-bit tier so even extreme scores stay vectorized.
+// with a final 32-bit tier so even extreme scores stay vectorized. A
+// score-only call on the native backend needs no ladder: it runs
+// native.Pair32 once.
 func AlignPairAdaptive(mch vek.Machine, q, dseq []uint8, mat *submat.Matrix, opt PairOptions) (aln.ScoreResult, *TraceMatrix, error) {
+	if nativePairOK(&opt) {
+		res, err := AlignPair32(mch, q, dseq, mat, opt)
+		return res, nil, err
+	}
 	if !opt.Traceback && !opt.TrackPosition {
 		res8, err := AlignPair8(mch, q, dseq, mat, opt)
 		if err != nil {

@@ -6,14 +6,14 @@ import (
 )
 
 // A Scratch holds the reusable working buffers of the batch engines
-// and the pair kernels' escalation tier: the transposed-residue int8
-// conversion, the DP column state, the per-row block carries, the
-// §III-C per-code score rows, and the 32-bit pair kernel's diagonal
-// buffers. One Scratch belongs to one worker goroutine — it is not
-// safe for concurrent use — and threading it through
-// BatchOptions.Scratch / PairOptions.Scratch makes the steady-state
-// search hot path allocation-free: every buffer grows to the largest
-// size seen and is then reused verbatim. The batch buffers are sized
+// and the pair kernels: the transposed-residue int8 conversion, the DP
+// column state, the per-row block carries, the §III-C per-code score
+// rows, the modeled pair kernels' diagonal buffers, and the native
+// stage's lane row and int32 H/F rows. One Scratch belongs to one
+// worker goroutine — it is not safe for concurrent use — and threading
+// it through BatchOptions.Scratch / PairOptions.Scratch makes the
+// steady-state search hot path allocation-free: every buffer grows to
+// the largest size seen and is then reused verbatim. The batch buffers are sized
 // by the batch's actual lane count, so one Scratch serves both the
 // 256-bit (32-lane) and 512-bit (64-lane) engines.
 //
@@ -42,9 +42,7 @@ type Scratch struct {
 	pair8  pairBufs[int8]
 	pair16 pairBufs[int16]
 	pair32 pairBufs[int32]
-	// nph/npf are the native pair kernels' H/F rows per element width.
-	nph8, npf8   []int8
-	nph16, npf16 []int16
+	// nph32/npf32 are native.Pair32's H/F rows.
 	nph32, npf32 []int32
 	// prof8 caches the 8-bit query profile keyed by (matrix, query
 	// contents, gap penalties): the modeled 8-bit pair path rebuilds it
@@ -62,8 +60,9 @@ type Scratch struct {
 	// pair8/pair16 above.
 	sp8  stripedState[int8]
 	sp16 stripedState[int16]
-	// laneSeq is the batch striped path's per-lane sequence extraction
-	// buffer (one lane's residues gathered out of the transposed batch).
+	// laneSeq is the per-lane sequence extraction buffer of the native
+	// batch stage and the modeled striped batch path (one lane's
+	// residues gathered out of the transposed batch).
 	laneSeq []uint8
 }
 
@@ -87,7 +86,6 @@ func (s *Scratch) codes(t []uint8) []int8 {
 		return codesAsInt8(t)
 	}
 	if cap(s.t8) < len(t) {
-		//swlint:ignore hotpathalloc grow-once scratch arena, warm calls reuse capacity
 		s.t8 = make([]int8, len(t))
 	}
 	s.t8 = s.t8[:len(t)]
@@ -149,7 +147,6 @@ func rowBufsE[E any](ph, pf *[]E, n, stride int, affine bool, negInf E) (h, f []
 
 // codesAsInt8 reinterprets residue codes (0..31) as int8 lanes.
 func codesAsInt8(codes []uint8) []int8 {
-	//swlint:ignore hotpathalloc nil-scratch fallback, the pipeline always passes a scratch
 	out := make([]int8, len(codes))
 	for i, c := range codes {
 		out[i] = int8(c)

@@ -11,17 +11,17 @@ import (
 	"swvec/internal/vek"
 )
 
-// stripedKernels are the two members of the striped family under test;
-// every equivalence test crosses them with both backends.
+// stripedKernels are the two members of the striped family under test.
+// A kernel family is a modeled-backend choice (the native backend runs
+// native.Pair32 whatever the family; see native_test.go), so these
+// tests run the modeled kernels.
 var stripedKernels = []Kernel{KernelStriped, KernelLazyF}
 
-var stripedBackends = []Backend{BackendModeled, BackendNative}
-
 // TestStripedPairMatchesDiagonal sweeps query lengths around every
-// segment-count boundary of every lane width, at both element widths
-// and on both backends, and requires the striped family to reproduce
-// the diagonal kernel's ScoreResult bit for bit — scores, saturation
-// flags, and the score-only -1 end positions.
+// segment-count boundary of every lane width, at both element widths,
+// and requires the striped family to reproduce the diagonal kernel's
+// ScoreResult bit for bit — scores, saturation flags, and the
+// score-only -1 end positions.
 func TestStripedPairMatchesDiagonal(t *testing.T) {
 	g := seqio.NewGenerator(71)
 	qlens := []int{1, 3, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129, 300}
@@ -54,40 +54,38 @@ func TestStripedPairMatchesDiagonal(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, kern := range stripedKernels {
-					for _, be := range stripedBackends {
-						kopt := PairOptions{Gaps: gaps, Kernel: kern, Backend: be}
-						tag := fmt.Sprintf("q%d d%d gaps%+v kernel=%v backend=%v", ql, dl, gaps, kern, be)
-						got8, err := AlignPair8(vek.Bare, q, d, b62, kopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got8 != want8 {
-							t.Fatalf("%s: pair8 %+v != diagonal %+v", tag, got8, want8)
-						}
-						got8w, err := AlignPair8W(vek.Bare, q, d, b62, kopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got8w != want8w {
-							t.Fatalf("%s: pair8w %+v != diagonal %+v", tag, got8w, want8w)
-						}
-						got16, tb, err := AlignPair16(vek.Bare, q, d, b62, kopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if tb != nil {
-							t.Fatalf("%s: striped pair16 returned a traceback", tag)
-						}
-						if got16 != want16 {
-							t.Fatalf("%s: pair16 %+v != diagonal %+v", tag, got16, want16)
-						}
-						got16w, err := AlignPair16W(vek.Bare, q, d, b62, kopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got16w != want16w {
-							t.Fatalf("%s: pair16w %+v != diagonal %+v", tag, got16w, want16w)
-						}
+					kopt := PairOptions{Gaps: gaps, Kernel: kern}
+					tag := fmt.Sprintf("q%d d%d gaps%+v kernel=%v", ql, dl, gaps, kern)
+					got8, err := AlignPair8(vek.Bare, q, d, b62, kopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got8 != want8 {
+						t.Fatalf("%s: pair8 %+v != diagonal %+v", tag, got8, want8)
+					}
+					got8w, err := AlignPair8W(vek.Bare, q, d, b62, kopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got8w != want8w {
+						t.Fatalf("%s: pair8w %+v != diagonal %+v", tag, got8w, want8w)
+					}
+					got16, tb, err := AlignPair16(vek.Bare, q, d, b62, kopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tb != nil {
+						t.Fatalf("%s: striped pair16 returned a traceback", tag)
+					}
+					if got16 != want16 {
+						t.Fatalf("%s: pair16 %+v != diagonal %+v", tag, got16, want16)
+					}
+					got16w, err := AlignPair16W(vek.Bare, q, d, b62, kopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got16w != want16w {
+						t.Fatalf("%s: pair16w %+v != diagonal %+v", tag, got16w, want16w)
 					}
 				}
 			}
@@ -108,14 +106,12 @@ func TestStripedTinyGapOpen(t *testing.T) {
 		d := g.Protein(fmt.Sprintf("d%d", i), 30+i*5).Encode(protAlpha)
 		want := baselines.ScalarAffine(q, d, b62, gaps)
 		for _, kern := range stripedKernels {
-			for _, be := range stripedBackends {
-				got, _, err := AlignPair16(vek.Bare, q, d, b62, PairOptions{Gaps: gaps, Kernel: kern, Backend: be})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Score != want.Score {
-					t.Fatalf("case %d kernel=%v backend=%v: score %d != scalar %d", i, kern, be, got.Score, want.Score)
-				}
+			got, _, err := AlignPair16(vek.Bare, q, d, b62, PairOptions{Gaps: gaps, Kernel: kern})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Score != want.Score {
+				t.Fatalf("case %d kernel=%v: score %d != scalar %d", i, kern, got.Score, want.Score)
 			}
 		}
 	}
@@ -160,31 +156,29 @@ func TestStripedAdaptiveLadder(t *testing.T) {
 		q := mk(n)
 		want := baselines.ScalarAffine(q, q, b62, aln.DefaultGaps())
 		for _, kern := range stripedKernels {
-			for _, be := range stripedBackends {
-				opt := PairOptions{Gaps: aln.DefaultGaps(), Kernel: kern, Backend: be}
-				r8, err := AlignPair8(vek.Bare, q, q, b62, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.Score >= 127 != r8.Saturated {
-					t.Fatalf("n=%d kernel=%v backend=%v: 8-bit saturation %v vs scalar score %d", n, kern, be, r8.Saturated, want.Score)
-				}
-				res, _, err := AlignPairAdaptive(vek.Bare, q, q, b62, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Score != want.Score || res.Saturated {
-					t.Fatalf("n=%d kernel=%v backend=%v: adaptive %+v, want exact %d", n, kern, be, res, want.Score)
-				}
+			opt := PairOptions{Gaps: aln.DefaultGaps(), Kernel: kern}
+			r8, err := AlignPair8(vek.Bare, q, q, b62, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Score >= 127 != r8.Saturated {
+				t.Fatalf("n=%d kernel=%v: 8-bit saturation %v vs scalar score %d", n, kern, r8.Saturated, want.Score)
+			}
+			res, _, err := AlignPairAdaptive(vek.Bare, q, q, b62, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Score != want.Score || res.Saturated {
+				t.Fatalf("n=%d kernel=%v: adaptive %+v, want exact %d", n, kern, res, want.Score)
 			}
 		}
 	}
 }
 
 // TestStripedBatchMatchesDiagonal runs whole batches (both strides,
-// both element widths, both backends) with a striped kernel selected
-// and requires lane-for-lane identical BatchResults against the
-// diagonal batch engines, plus the same via the multi-query entry.
+// both element widths) with a striped kernel selected and requires
+// lane-for-lane identical BatchResults against the diagonal batch
+// engines, plus the same via the multi-query entry.
 func TestStripedBatchMatchesDiagonal(t *testing.T) {
 	mat := submat.Blosum62()
 	tables := submat.NewCodeTables(mat)
@@ -208,22 +202,20 @@ func TestStripedBatchMatchesDiagonal(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, kern := range stripedKernels {
-					for _, be := range stripedBackends {
-						opt := BatchOptions{Gaps: gaps, Kernel: kern, Backend: be, Scratch: NewScratch()}
-						got8, err := AlignBatch8(vek.Bare, q, tables, b, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got8 != want8 {
-							t.Fatalf("lanes=%d kernel=%v backend=%v: batch8 diverged from diagonal", lanes, kern, be)
-						}
-						got16, err := AlignBatch16(vek.Bare, q, tables, b, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got16 != want16 {
-							t.Fatalf("lanes=%d kernel=%v backend=%v: batch16 diverged from diagonal", lanes, kern, be)
-						}
+					opt := BatchOptions{Gaps: gaps, Kernel: kern, Scratch: NewScratch()}
+					got8, err := AlignBatch8(vek.Bare, q, tables, b, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got8 != want8 {
+						t.Fatalf("lanes=%d kernel=%v: batch8 diverged from diagonal", lanes, kern)
+					}
+					got16, err := AlignBatch16(vek.Bare, q, tables, b, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got16 != want16 {
+						t.Fatalf("lanes=%d kernel=%v: batch16 diverged from diagonal", lanes, kern)
 					}
 				}
 			}
@@ -247,9 +239,9 @@ func TestStripedBatchMatchesDiagonal(t *testing.T) {
 }
 
 // TestStripedScratchReuse runs the striped family twice on one scratch
-// — across kernels, backends, and differing shapes — and requires the
-// second pass to reproduce fresh-buffer results, proving the cached
-// profile and column rows are reinitialized correctly.
+// — across kernels and differing shapes — and requires the second pass
+// to reproduce fresh-buffer results, proving the cached profile and
+// column rows are reinitialized correctly.
 func TestStripedScratchReuse(t *testing.T) {
 	g := seqio.NewGenerator(75)
 	pairs := [][2][]uint8{
@@ -259,23 +251,21 @@ func TestStripedScratchReuse(t *testing.T) {
 	}
 	shared := NewScratch()
 	for _, kern := range stripedKernels {
-		for _, be := range stripedBackends {
-			for i, p := range pairs {
-				opt := PairOptions{Gaps: aln.DefaultGaps(), Kernel: kern, Backend: be}
-				fresh, err := AlignPair8(vek.Bare, p[0], p[1], b62, opt)
+		for i, p := range pairs {
+			opt := PairOptions{Gaps: aln.DefaultGaps(), Kernel: kern}
+			fresh, err := AlignPair8(vek.Bare, p[0], p[1], b62, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Scratch = shared
+			// Twice: the second call exercises the warm-cache path.
+			for pass := 0; pass < 2; pass++ {
+				got, err := AlignPair8(vek.Bare, p[0], p[1], b62, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt.Scratch = shared
-				// Twice: the second call exercises the warm-cache path.
-				for pass := 0; pass < 2; pass++ {
-					got, err := AlignPair8(vek.Bare, p[0], p[1], b62, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != fresh {
-						t.Fatalf("kernel=%v backend=%v pair %d pass %d: scratch changed result", kern, be, i, pass)
-					}
+				if got != fresh {
+					t.Fatalf("kernel=%v pair %d pass %d: scratch changed result", kern, i, pass)
 				}
 			}
 		}
@@ -286,7 +276,8 @@ func TestStripedScratchReuse(t *testing.T) {
 // query-profile cache key: aligning the same query with different gap
 // penalties must rebuild the profile, not serve the cached one. Checked
 // through the observable hit counter for both the diagonal 8-bit
-// profile and the striped profile (both element widths).
+// profile and the striped profile (both element widths, and both lane
+// counts at 8 bits).
 func TestProfileCacheKeyIncludesGaps(t *testing.T) {
 	g := seqio.NewGenerator(76)
 	q := g.Protein("q", 120).Encode(protAlpha)
@@ -308,8 +299,8 @@ func TestProfileCacheKeyIncludesGaps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"striped-native", func(s *Scratch, gaps aln.Gaps) {
-			if _, err := AlignPair8(vek.Bare, q, d, b62, PairOptions{Gaps: gaps, Scratch: s, Backend: BackendNative, Kernel: KernelLazyF}); err != nil {
+		{"striped-wide", func(s *Scratch, gaps aln.Gaps) {
+			if _, err := AlignPair8W(vek.Bare, q, d, b62, PairOptions{Gaps: gaps, Scratch: s, Backend: BackendModeled, Kernel: KernelLazyF}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -342,10 +333,9 @@ func TestProfileCacheKeyIncludesGaps(t *testing.T) {
 }
 
 // FuzzKernelsVsDiagonal is the cross-kernel differential fuzzer: for
-// arbitrary sequences and affine gap models, the striped family (both
-// correction variants, both backends, both element widths) must
-// reproduce the diagonal kernel's results bit for bit, including the
-// batch entry.
+// arbitrary sequences and affine gap models, the modeled striped family
+// (both correction variants, both element widths) must reproduce the
+// diagonal kernel's results bit for bit, including the batch entry.
 func FuzzKernelsVsDiagonal(f *testing.F) {
 	f.Add([]byte("MKVLAWMKVLAWMKVLAW"), []byte("MKVLAWMKVLNW"), byte(11), byte(1))
 	f.Add([]byte("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"),
@@ -387,37 +377,35 @@ func FuzzKernelsVsDiagonal(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, kern := range stripedKernels {
-			for _, be := range stripedBackends {
-				kopt := PairOptions{Gaps: gaps, Kernel: kern, Backend: be}
-				tag := fmt.Sprintf("kernel=%v backend=%v gaps=%+v qlen=%d dlen=%d", kern, be, gaps, len(q), len(d))
-				got8, err := AlignPair8(vek.Bare, q, d, bl62, kopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got8 != want8 {
-					t.Fatalf("%s: pair8 %+v != diagonal %+v", tag, got8, want8)
-				}
-				got8w, err := AlignPair8W(vek.Bare, q, d, bl62, kopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got8w != want8w {
-					t.Fatalf("%s: pair8w %+v != diagonal %+v", tag, got8w, want8w)
-				}
-				got16, _, err := AlignPair16(vek.Bare, q, d, bl62, kopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got16 != want16 {
-					t.Fatalf("%s: pair16 %+v != diagonal %+v", tag, got16, want16)
-				}
-				got16w, err := AlignPair16W(vek.Bare, q, d, bl62, kopt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got16w != want16w {
-					t.Fatalf("%s: pair16w %+v != diagonal %+v", tag, got16w, want16w)
-				}
+			kopt := PairOptions{Gaps: gaps, Kernel: kern}
+			tag := fmt.Sprintf("kernel=%v gaps=%+v qlen=%d dlen=%d", kern, gaps, len(q), len(d))
+			got8, err := AlignPair8(vek.Bare, q, d, bl62, kopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got8 != want8 {
+				t.Fatalf("%s: pair8 %+v != diagonal %+v", tag, got8, want8)
+			}
+			got8w, err := AlignPair8W(vek.Bare, q, d, bl62, kopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got8w != want8w {
+				t.Fatalf("%s: pair8w %+v != diagonal %+v", tag, got8w, want8w)
+			}
+			got16, _, err := AlignPair16(vek.Bare, q, d, bl62, kopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got16 != want16 {
+				t.Fatalf("%s: pair16 %+v != diagonal %+v", tag, got16, want16)
+			}
+			got16w, err := AlignPair16W(vek.Bare, q, d, bl62, kopt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got16w != want16w {
+				t.Fatalf("%s: pair16w %+v != diagonal %+v", tag, got16w, want16w)
 			}
 		}
 

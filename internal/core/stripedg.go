@@ -29,7 +29,7 @@ import (
 // column's inputs agree with the exact recurrence cell for cell, and
 // saturating clamps keep every over-decayed carry at or below zero,
 // where max(H, carry) is inert (H >= 0 throughout). That is what
-// FuzzKernelsVsDiagonal and TestStripedEquivalence lean on.
+// FuzzKernelsVsDiagonal and TestStripedPairMatchesDiagonal lean on.
 //
 // The family serves the affine gap model only: with linear gaps
 // (Open == Extend) the classic loop's exit test goes non-strict and
@@ -41,9 +41,8 @@ import (
 // caller asks for positions.
 
 // stripedState is the striped family's per-element-width scratch: the
-// cached striped query profile and the H/E column rows. It serves both
-// the modeled generic kernel and the native specializations, so a
-// backend switch reuses the same profile.
+// cached striped query profile and the H/E column rows, shared by both
+// register widths of one element width.
 type stripedState[E vek.Elem] struct {
 	// prof is the flat striped profile: prof[(c*segLen+t)*lanes + l]
 	// is the score of query position t + l*segLen against residue code

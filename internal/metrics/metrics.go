@@ -35,30 +35,36 @@ type Counters struct {
 	// aligned (on a canceled run workers drain without aligning, so
 	// Batches8 may trail BatchesProduced). Batches16 counts 16-bit
 	// rescue alignments, one saturated (query, sequence) pair each, and
-	// Pairs32 counts 32-bit escalation alignments.
+	// Pairs32 counts 32-bit escalation alignments; both stay zero on
+	// the native backend, which never saturates.
 	BatchesProduced atomic.Int64
 	Batches8        atomic.Int64
 	Batches16       atomic.Int64
 	Pairs32         atomic.Int64
 
 	// Cells8/Cells16/Cells32 are real DP cells per stage width,
-	// padding excluded. Their sum is the search's total cell count.
+	// padding excluded. Their sum is the search's total cell count. On
+	// the native backend every cell is in Cells8, the batch stage's
+	// count, although that stage computes in 32 bits.
 	Cells8  atomic.Int64
 	Cells16 atomic.Int64
 	Cells32 atomic.Int64
 
 	// Saturated8 counts lanes whose 8-bit score saturated, when the
 	// 8-bit stage detects them; Saturated16 counts rescues that also
-	// overflowed int16 and escalated to the 32-bit pair kernel.
+	// overflowed int16 and escalated to the 32-bit pair kernel. Only
+	// the modeled backend saturates: both read zero on native.
 	Saturated8  atomic.Int64
 	Saturated16 atomic.Int64
 
-	// BatchesDiagonal/BatchesStriped/BatchesLazyF split Batches8 plus
-	// Batches16 (8-bit batches and 16-bit rescues; 32-bit escalations
-	// are diagonal pairs and excluded) by kernel family, so the three
-	// sum to Batches8+Batches16, and the CellsKernel* counters split the
-	// real DP cells the same way — the planner's decisions made
-	// observable through Result.Stats and /debug/vars.
+	// BatchesDiagonal/BatchesStriped/BatchesLazyF split the modeled
+	// backend's Batches8 plus Batches16 (8-bit batches and 16-bit
+	// rescues; 32-bit escalations are diagonal pairs and excluded) by
+	// kernel family, so on a modeled search the three sum to
+	// Batches8+Batches16, and the CellsKernel* counters split the real
+	// DP cells the same way — the kernel choice made observable through
+	// Result.Stats and /debug/vars. A kernel family is a modeled-backend
+	// choice, so native work is counted in none of them.
 	BatchesDiagonal atomic.Int64
 	BatchesStriped  atomic.Int64
 	BatchesLazyF    atomic.Int64
@@ -66,9 +72,9 @@ type Counters struct {
 	CellsStriped    atomic.Int64
 	CellsLazyF      atomic.Int64
 
-	// ProfileCacheHits counts pair alignments that reused a cached
-	// 8-bit query profile from the worker's scratch instead of
-	// rebuilding it.
+	// ProfileCacheHits counts modeled pair alignments that reused a
+	// cached 8-bit or striped query profile from the worker's scratch
+	// instead of rebuilding it (the native kernel builds no profile).
 	ProfileCacheHits atomic.Int64
 
 	// QueueHighWater is the deepest the 8-bit work queue ever got,

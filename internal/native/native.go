@@ -1,55 +1,86 @@
-// Package native holds the compiled execution backend: specialized Go
-// kernels for the pair and batch Smith-Waterman algorithms at each
-// (element width x lane count) shape the repo supports, operating
-// directly on int8/int16/int32 scratch rows. They compute bit-for-bit
-// the same scores, saturation flags, and hit positions as the modeled
-// kernels in internal/core interpreting the vek machine — that
-// equivalence is load-bearing (the search pipeline's rescue ladder
-// keys off the saturation flags) and is enforced by the per-width
-// differential suite and FuzzNativeVsModeled in internal/core.
+// Package native holds the compiled execution backend's one kernel:
+// Pair32, the exact score-only Smith-Waterman recurrence for one query
+// against one database sequence, in plain Go over two int32 rows.
 //
-// The modeled kernels traverse anti-diagonals because the vector
-// machine needs independent lanes; the native kernels are free to
-// traverse row-major, which the affine recurrence permits without
-// changing any H value (the dependency structure is identical cell by
-// cell). Two consequences matter for equivalence:
+// Go has no SIMD, so on this backend a vector lane would only be an
+// unroll factor. The paper's inter-sequence 8-bit batches, its
+// 8 -> 16 -> 32-bit saturation ladder and its striped layouts pay for
+// themselves with vector slots; here they would cost padding, empty
+// lanes, per-cell clamps and rescues, and buy nothing back. Pair32
+// needs no clamp and never saturates, so every native score is exact
+// on the first pass and the search pipeline never rescues on this
+// backend. The modeled kernels in internal/core keep the paper's
+// layouts for the figures; FuzzNativeVsModeled in internal/core holds
+// Pair32 to the scalar reference and to the modeled adaptive ladder.
 //
-//   - Gap model: the kernels always run the affine recurrence. With
-//     Open == Extend it produces the same H stream as the reduced
-//     linear recurrence (E(i,j-1) <= H(i,j-1) inductively, so the
-//     E max collapses to H(i,j-1)-Extend, and the saturating clamps
-//     are monotone), so one recurrence serves both gap models.
-//   - Saturation: each width reproduces its modeled engine's exact
-//     arithmetic — int8/int16 kernels clamp every E/F/H intermediate
-//     at the element bounds the way vpaddsb/vpaddsw do, the int32
-//     kernel uses plain modular arithmetic — so a lane saturates on
-//     the native backend iff it saturates on the modeled one.
+// Pair32 traverses row-major, which the affine recurrence permits
+// without changing any H value (the dependency structure is identical
+// cell by cell). It always runs the affine recurrence: with
+// Open == Extend that produces the same H stream as the reduced linear
+// recurrence (E(i,j-1) <= H(i,j-1) inductively, so the E max collapses
+// to H(i,j-1)-Extend), so one recurrence serves both gap models.
 //
-// Kernels never allocate; callers pass scratch rows (capacity is the
-// only requirement — kernels initialize them). All are annotated
-// //sw:hotpath so swlint's hotpathalloc check gates them.
+// The arithmetic is plain int32 with no clamps. aln.Gaps.Validate
+// bounds both penalties at 2^29: E and F start at negInf32 = -2^29,
+// every later E or F is at least -Open, and one more subtraction stays
+// at or above -2^30, far from the int32 floor.
+//
+// The kernel never allocates; callers pass scratch rows (capacity is
+// the only requirement — the kernel initializes them). It is annotated
+// //sw:hotpath so swlint's hotpathalloc check gates it.
 package native
 
 import "swvec/internal/submat"
 
-// Boundary and saturation constants, mirroring the modeled engines in
-// internal/vek exactly. The 16-bit -inf leaves headroom below any real
-// score but above the arithmetic floor, matching vek.E16x16.NegInf;
-// equivalence requires the same values, not merely "negative enough".
-const (
-	negInf8  = -128
-	floor8   = -128
-	ceil8    = 127
-	negInf16 = -30000
-	floor16  = -32768
-	ceil16   = 32767
-	negInf32 = -1 << 29
-	ceil32   = 1<<31 - 1
-)
+// negInf32 is the E/F boundary value, matching the modeled E32x8
+// engine (vek.E32x8.NegInf).
+const negInf32 = -1 << 29
 
 // matRowMask masks a residue code into the padded substitution-matrix
 // row width (submat.W == 32, a power of two): every masked code
-// indexes a row in bounds, which is what keeps the inner score loops
-// bounds-check free. Residue codes are already < submat.W, so the
-// mask never changes a valid code.
+// indexes a row in bounds, which is what keeps the inner score loop
+// bounds-check free. Residue codes are already < submat.W, so the mask
+// never changes a valid code.
 const matRowMask = submat.W - 1
+
+// Pair32 returns the optimal local alignment score of query q against
+// database sequence dseq under affine gaps (open, ext). It carries
+// H-diagonal, H-left and E-left in registers and streams the previous
+// row's H and F through the caller's scratch rows; hRow and fRow need
+// capacity for len(dseq) elements.
+//
+//sw:hotpath
+func Pair32(q, dseq []uint8, mat *submat.Matrix, open, ext int32, hRow, fRow []int32) int32 {
+	ds := dseq
+	hr := hRow[:len(ds)]
+	fr := fRow[:len(ds)]
+	for j := range hr {
+		hr[j] = 0
+	}
+	for j := range fr {
+		fr[j] = negInf32
+	}
+	var best int32
+	for i := 0; i < len(q); i++ {
+		row := (*[submat.W]int8)(mat.Row(q[i]))
+		hDiag := int32(0)
+		hLeft := int32(0)
+		eLeft := int32(negInf32)
+		for j := 0; j < len(ds); j++ {
+			sc := int32(row[ds[j]&matRowMask])
+			hUp := hr[j]
+			f := max(fr[j]-ext, hUp-open)
+			e := max(eLeft-ext, hLeft-open)
+			h := max(hDiag+sc, 0, e, f)
+			hr[j] = h
+			fr[j] = f
+			hDiag = hUp
+			hLeft = h
+			eLeft = e
+			if h > best {
+				best = h
+			}
+		}
+	}
+	return best
+}

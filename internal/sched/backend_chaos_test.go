@@ -11,16 +11,17 @@ import (
 )
 
 // TestChaosNativeBackendRetries runs the native backend through the
-// fault-injection harness: transient faults on the 8-bit and 16-bit
-// stages must be retried and the final hits must match a healthy
-// modeled run exactly — the resilience machinery is backend-agnostic.
+// fault-injection harness: transient faults on its one stage, the
+// batch stage, must be retried, and the final scores must match a
+// healthy modeled run exactly — the resilience machinery is
+// backend-agnostic. Native never saturates, so its rescue tiers never
+// run and are not armed here.
 func TestChaosNativeBackendRetries(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
 	db, query := escalationDB(t, 605)
 	mat := escalationMat
-	opt := chaosOpt()
-	opt.Backend = core.BackendModeled
+	opt := modeledChaosOpt()
 	ref, err := Search(query, db, mat, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -29,9 +30,6 @@ func TestChaosNativeBackendRetries(t *testing.T) {
 		t.Fatal("setup failure: escalation ladder not exercised")
 	}
 	if err := failpoint.Enable("sched/align8", "error(resource blip):transient:first=2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := failpoint.Enable("sched/align16", "error(rescue blip):transient:first=1"); err != nil {
 		t.Fatal(err)
 	}
 	opt.Backend = core.BackendNative
@@ -46,9 +44,9 @@ func TestChaosNativeBackendRetries(t *testing.T) {
 		t.Errorf("%d sequences quarantined after transient-only faults", len(res.Quarantined))
 	}
 	for i := range ref.Hits {
-		if res.Hits[i] != ref.Hits[i] {
-			t.Errorf("seq %d: native-under-chaos %+v != healthy modeled %+v",
-				i, res.Hits[i], ref.Hits[i])
+		if res.Hits[i].Score != ref.Hits[i].Score {
+			t.Errorf("seq %d: native-under-chaos score %d != healthy modeled %d",
+				i, res.Hits[i].Score, ref.Hits[i].Score)
 		}
 	}
 }

@@ -19,14 +19,13 @@ func coreGlobalProfileHits() int64 { return metrics.Global.ProfileCacheHits.Load
 var escalationMat = submat.MatchMismatch(protAlpha, 120, -60)
 
 // escalationDB builds a workload that exercises the full saturation
-// ladder through the streaming pipeline under escalationMat: the random
-// sequences saturate the 8-bit stage and are rescued at 16 bits, and
-// the self-hit and its mutated homolog overflow int16 and escalate to
-// the 32-bit pair kernel. The query is long enough (400 residues) that
-// the planner puts native searches on the striped family.
+// ladder through the modeled streaming pipeline under escalationMat:
+// the random sequences saturate the 8-bit stage and are rescued at 16
+// bits, and the self-hit and its mutated homolog overflow int16 and
+// escalate to the 32-bit pair kernel.
 func escalationDB(t *testing.T, seed int64) ([]seqio.Sequence, []uint8) {
 	g := seqio.NewGenerator(seed)
-	db := g.Database(40)
+	db := g.Database(20)
 	query := g.Protein("q", 400)
 	db = append(db, g.Related(query, "homolog", 0.10, 0.02))
 	db = append(db, query)
@@ -34,9 +33,10 @@ func escalationDB(t *testing.T, seed int64) ([]seqio.Sequence, []uint8) {
 }
 
 // TestSearchBackendEquivalence is the end-to-end seam check: the same
-// search, saturation rescue included, must produce identical hits —
-// scores, Rescued flags, order — on the modeled machine and the native
-// kernels, at both vector widths.
+// search must produce identical scores and TopHits order on the
+// modeled machine, which climbs its saturation ladder to 32 bits, and
+// on the native backend, which scores every lane exactly on the first
+// pass and so never saturates or rescues, at both vector widths.
 func TestSearchBackendEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long escalation workload")
@@ -64,17 +64,24 @@ func TestSearchBackendEquivalence(t *testing.T) {
 			t.Fatalf("width %d: hit counts differ", width)
 		}
 		for i := range mod.Hits {
-			if mod.Hits[i] != nat.Hits[i] {
-				t.Errorf("width %d seq %d: modeled %+v != native %+v",
+			if mod.Hits[i].Score != nat.Hits[i].Score {
+				t.Errorf("width %d seq %d: modeled %+v, native %+v",
 					width, i, mod.Hits[i], nat.Hits[i])
 			}
+			if nat.Hits[i].Rescued {
+				t.Errorf("width %d seq %d: native hit marked Rescued", width, i)
+			}
 		}
-		if mod.Stats.Saturated8 != nat.Stats.Saturated8 ||
-			mod.Stats.Saturated16 != nat.Stats.Saturated16 ||
-			mod.Stats.Pairs32 != nat.Stats.Pairs32 {
-			t.Errorf("width %d: escalation stats diverge: modeled sat8=%d sat16=%d p32=%d, native sat8=%d sat16=%d p32=%d",
-				width, mod.Stats.Saturated8, mod.Stats.Saturated16, mod.Stats.Pairs32,
-				nat.Stats.Saturated8, nat.Stats.Saturated16, nat.Stats.Pairs32)
+		modTop, natTop := mod.TopHits(len(db)), nat.TopHits(len(db))
+		for i := range modTop {
+			if modTop[i].SeqIndex != natTop[i].SeqIndex {
+				t.Fatalf("width %d: TopHits rank %d: modeled seq %d, native seq %d",
+					width, i, modTop[i].SeqIndex, natTop[i].SeqIndex)
+			}
+		}
+		if nat.Stats.Saturated8 != 0 || nat.Rescued != 0 {
+			t.Errorf("width %d: native search saturated (sat8=%d, rescued=%d)",
+				width, nat.Stats.Saturated8, nat.Rescued)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"swvec/internal/aln"
+	"swvec/internal/core"
 	"swvec/internal/failpoint"
 	"swvec/internal/leakcheck"
 	"swvec/internal/seqio"
@@ -20,6 +21,15 @@ import (
 // across machines.
 func chaosOpt() Options {
 	return Options{Gaps: aln.DefaultGaps(), Width: 256, Threads: 4}
+}
+
+// modeledChaosOpt is chaosOpt on the modeled backend, the only one
+// whose 8-bit stage saturates: the rescue and escalation tiers (and
+// their failpoint sites) only run there.
+func modeledChaosOpt() Options {
+	opt := chaosOpt()
+	opt.Backend = core.BackendModeled
+	return opt
 }
 
 // chaosDB is a plain workload: no saturation, so every hit is written
@@ -168,7 +178,7 @@ func TestChaosRescuePanicQuarantines(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()
 	db, query := rescueDB(604)
-	ref, err := Search(query, db, b62, chaosOpt())
+	ref, err := Search(query, db, b62, modeledChaosOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +188,7 @@ func TestChaosRescuePanicQuarantines(t *testing.T) {
 	if err := failpoint.Enable("sched/align16", "panic(rescue burn):first=1"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Search(query, db, b62, chaosOpt())
+	res, err := Search(query, db, b62, modeledChaosOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +312,7 @@ func TestChaosMultiSearchRescueQuarantines(t *testing.T) {
 	defer failpoint.DisableAll()
 	db, query := rescueDB(609)
 	queries := [][]uint8{seqio.NewGenerator(610).Protein("q0", 120).Encode(protAlpha), query}
-	opt := chaosOpt()
+	opt := modeledChaosOpt()
 	ref, err := MultiSearch(queries, db, b62, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +398,7 @@ func TestChaos32BitEscalationRetries(t *testing.T) {
 	defer failpoint.DisableAll()
 	db, query := escalationDB(t, 606)
 	mat := escalationMat
-	opt := chaosOpt()
+	opt := modeledChaosOpt()
 	ref, err := Search(query, db, mat, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +436,7 @@ func TestChaos32BitFailureQuarantines(t *testing.T) {
 	defer failpoint.DisableAll()
 	db, query := escalationDB(t, 607)
 	mat := escalationMat
-	opt := chaosOpt()
+	opt := modeledChaosOpt()
 	ref, err := Search(query, db, mat, opt)
 	if err != nil {
 		t.Fatal(err)

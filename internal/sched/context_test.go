@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"swvec/internal/aln"
+	"swvec/internal/core"
 	"swvec/internal/leakcheck"
 	"swvec/internal/seqio"
 )
@@ -144,11 +145,12 @@ func TestSearchContextCancel(t *testing.T) {
 }
 
 // TestSearchContextComplete runs an uncanceled ctx search end to end
-// and pins down the Stats snapshot against known workload quantities.
+// and pins down the Stats snapshot against known workload quantities,
+// on the modeled backend so the rescue counters register.
 func TestSearchContextComplete(t *testing.T) {
 	leakcheck.Check(t)
 	db, query := rescueDB(303)
-	opt := Options{Gaps: aln.DefaultGaps(), Threads: 3}
+	opt := Options{Gaps: aln.DefaultGaps(), Threads: 3, Backend: core.BackendModeled}
 	width, err := opt.width()
 	if err != nil {
 		t.Fatal(err)

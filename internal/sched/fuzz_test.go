@@ -39,22 +39,29 @@ func ramp(n int) []byte {
 
 // FuzzSearchScenarios is the scenario-level differential fuzzer:
 // Search, MultiSearch and Subroutine over one fuzzed query and
-// database must each give every sequence the scalar reference's score.
-// The kernel fuzzers check one kernel at a time; this one checks the
-// saturation ladder the scenarios build around the kernels. Under a
-// +120 match score two matching residues saturate 8 bits and 274
-// overflow int16, so a few hundred residues reach all three tiers.
+// database must each give every sequence the scalar reference's score,
+// on either backend. The kernel fuzzers check one kernel at a time;
+// this one checks the saturation ladder the modeled scenarios build
+// around the kernels, and the native backend's one exact stage. Under
+// a +120 match score two matching residues saturate 8 bits and 274
+// overflow int16, so a few hundred residues reach all three modeled
+// tiers.
 func FuzzSearchScenarios(f *testing.F) {
-	// One seed per tier: at most one matching residue per pair (8-bit
-	// scores only), a 60-residue self-hit (7200, rescued at 16 bits),
-	// and a 300-residue self-hit (36000, escalated to 32 bits).
-	f.Add(ramp(10), []byte{10, 11, 12, 13, fuzzSep, 19, 0}, uint8(0))
-	f.Add(ramp(60), append(ramp(60), fuzzSep, 5, 6, 7), uint8(0))
-	f.Add(ramp(300), append(ramp(300), fuzzSep, 3, 3, 3), uint8(2))
+	// One seed per modeled tier: at most one matching residue per pair
+	// (8-bit scores only), a 60-residue self-hit (7200, rescued at 16
+	// bits), and a 300-residue self-hit (36000, escalated to 32 bits).
+	// The same three inputs then run on the native backend.
+	f.Add(ramp(10), []byte{10, 11, 12, 13, fuzzSep, 19, 0}, uint8(0), uint8(0))
+	f.Add(ramp(60), append(ramp(60), fuzzSep, 5, 6, 7), uint8(0), uint8(0))
+	f.Add(ramp(300), append(ramp(300), fuzzSep, 3, 3, 3), uint8(2), uint8(0))
+	f.Add(ramp(10), []byte{10, 11, 12, 13, fuzzSep, 19, 0}, uint8(0), uint8(1))
+	f.Add(ramp(60), append(ramp(60), fuzzSep, 5, 6, 7), uint8(0), uint8(1))
+	f.Add(ramp(300), append(ramp(300), fuzzSep, 3, 3, 3), uint8(2), uint8(1))
 
 	mat := submat.MatchMismatch(protAlpha, 120, -60)
 	kernels := []core.Kernel{core.KernelAuto, core.KernelDiagonal, core.KernelStriped, core.KernelLazyF}
-	f.Fuzz(func(t *testing.T, qraw, draw []byte, kern uint8) {
+	backends := []core.Backend{core.BackendModeled, core.BackendNative}
+	f.Fuzz(func(t *testing.T, qraw, draw []byte, kern, backend uint8) {
 		query := protAlpha.Encode(fuzzResidues(qraw, 320))
 		var db []seqio.Sequence
 		for i, piece := range bytes.Split(draw, []byte{fuzzSep}) {
@@ -66,7 +73,8 @@ func FuzzSearchScenarios(f *testing.F) {
 		if len(query) == 0 || len(db) == 0 {
 			t.Skip()
 		}
-		opt := Options{Gaps: aln.DefaultGaps(), Threads: 2, Width: 256, Kernel: kernels[int(kern)%len(kernels)]}
+		opt := Options{Gaps: aln.DefaultGaps(), Threads: 2, Width: 256,
+			Kernel: kernels[int(kern)%len(kernels)], Backend: backends[int(backend)%len(backends)]}
 		want := make([]int32, len(db))
 		for si := range db {
 			want[si] = baselines.ScalarAffine(query, db[si].Encode(protAlpha), mat, opt.Gaps).Score

@@ -9,6 +9,7 @@ import (
 
 	"swvec/internal/aln"
 	"swvec/internal/baselines"
+	"swvec/internal/core"
 	"swvec/internal/seqio"
 )
 
@@ -17,7 +18,7 @@ import (
 func rescueDB(seed int64) ([]seqio.Sequence, []uint8) {
 	g := seqio.NewGenerator(seed)
 	db := g.Database(60)
-	query := g.Protein("q", 600)
+	query := g.Protein("q", 200)
 	db = append(db, g.Related(query, "homolog", 0.03, 0.01))
 	return db, query.Encode(protAlpha)
 }
@@ -42,14 +43,15 @@ func expectedCells(db []seqio.Sequence, qlen int, hits []Hit, sorted bool) int64
 // TestSearchCellsCountAllStages is the regression test for the cell
 // accounting fix: Cells must include the 16-bit rescue (and 32-bit
 // escalation) work, not just the 8-bit sweep, and must be deterministic
-// across thread counts and batch orderings.
+// across thread counts and batch orderings. It runs on the modeled
+// backend, the only one that rescues.
 func TestSearchCellsCountAllStages(t *testing.T) {
 	db, query := rescueDB(201)
 	var first int64
 	for _, cfg := range []Options{
-		{Gaps: aln.DefaultGaps(), Threads: 1},
-		{Gaps: aln.DefaultGaps(), Threads: 4},
-		{Gaps: aln.DefaultGaps(), Threads: 3, SortByLength: true},
+		{Gaps: aln.DefaultGaps(), Threads: 1, Backend: core.BackendModeled},
+		{Gaps: aln.DefaultGaps(), Threads: 4, Backend: core.BackendModeled},
+		{Gaps: aln.DefaultGaps(), Threads: 3, SortByLength: true, Backend: core.BackendModeled},
 	} {
 		res, err := Search(query, db, b62, cfg)
 		if err != nil {
@@ -79,7 +81,7 @@ func TestSearchCellsCountAllStages(t *testing.T) {
 // TestSearchEscalatesTo32Bits drives a self-alignment whose score
 // overflows int16 (120*400 = 48000 under escalationMat), forcing the
 // full 8 -> 16 -> 32 bit escalation chain through the streaming
-// pipeline.
+// pipeline of the modeled backend.
 func TestSearchEscalatesTo32Bits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long self-alignment")
@@ -89,7 +91,7 @@ func TestSearchEscalatesTo32Bits(t *testing.T) {
 	big := g.Protein("big", 400)
 	db = append(db, big)
 	query := big.Encode(protAlpha)
-	res, err := Search(query, db, escalationMat, Options{Gaps: aln.DefaultGaps(), Threads: 4})
+	res, err := Search(query, db, escalationMat, Options{Gaps: aln.DefaultGaps(), Threads: 4, Backend: core.BackendModeled})
 	if err != nil {
 		t.Fatal(err)
 	}

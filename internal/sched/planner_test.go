@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"testing"
 
 	"swvec/internal/aln"
@@ -10,67 +9,52 @@ import (
 	"swvec/internal/seqio"
 )
 
-// TestPlannerDecisions pins the kernel planner's decision table: every
-// row is one search configuration and the family the plan must
-// resolve to.
+// TestPlannerDecisions pins the kernel resolution table: every row is
+// one search configuration and the family it must resolve to. A family
+// is a modeled-backend choice; native resolves to KernelAuto whatever
+// was asked.
 func TestPlannerDecisions(t *testing.T) {
-	affine := aln.DefaultGaps()             // open 11 > Blosum62 max 11? see below
-	costly := aln.Gaps{Open: 20, Extend: 1} // open above every substitution score
-	cheap := aln.Gaps{Open: 2, Extend: 1}   // open below the matrix max
-	long := plannerStripedMinQuery
-	short := plannerStripedMinQuery - 1
-	padded := plannerStripedMinPad + 2 // ragged batches: striped pays
-	packed := plannerStripedMinPad / 2 // well-sorted batches: it doesn't
+	costly := aln.Gaps{Open: 20, Extend: 1}
+	cheap := aln.Gaps{Open: 2, Extend: 1}
+	modeled := core.BackendModeled
 	cases := []struct {
 		name string
 		opt  Options
-		qlen int
-		pad  float64
 		want core.Kernel
 	}{
-		{"explicit-diagonal", Options{Gaps: costly, Kernel: core.KernelDiagonal}, long, padded, core.KernelDiagonal},
-		{"explicit-striped", Options{Gaps: cheap, Kernel: core.KernelStriped}, short, packed, core.KernelStriped},
-		{"explicit-lazyf", Options{Gaps: costly, Kernel: core.KernelLazyF}, short, packed, core.KernelLazyF},
-		{"explicit-wins-over-instrument", Options{Gaps: costly, Kernel: core.KernelLazyF, Instrument: true}, long, padded, core.KernelLazyF},
-		{"instrumented-stays-diagonal", Options{Gaps: costly, Instrument: true}, long, padded, core.KernelDiagonal},
-		{"modeled-stays-diagonal", Options{Gaps: costly, Backend: core.BackendModeled}, long, padded, core.KernelDiagonal},
-		{"linear-stays-diagonal", Options{Gaps: aln.Linear(2)}, long, padded, core.KernelDiagonal},
-		{"short-query-stays-diagonal", Options{Gaps: costly}, short, padded, core.KernelDiagonal},
-		{"packed-batches-stay-diagonal", Options{Gaps: costly}, long, packed, core.KernelDiagonal},
-		{"pad-threshold-is-inclusive", Options{Gaps: costly}, long, plannerStripedMinPad, core.KernelStriped},
-		{"long-costly-open-striped", Options{Gaps: costly}, long, padded, core.KernelStriped},
-		{"long-cheap-open-lazyf", Options{Gaps: cheap}, long, padded, core.KernelLazyF},
-		{"long-costly-open-native-striped", Options{Gaps: costly, Backend: core.BackendNative}, long, padded, core.KernelStriped},
+		{"explicit-diagonal", Options{Gaps: costly, Kernel: core.KernelDiagonal, Backend: modeled}, core.KernelDiagonal},
+		{"explicit-striped", Options{Gaps: cheap, Kernel: core.KernelStriped, Backend: modeled}, core.KernelStriped},
+		{"explicit-lazyf", Options{Gaps: costly, Kernel: core.KernelLazyF, Backend: modeled}, core.KernelLazyF},
+		{"explicit-wins-over-instrument", Options{Gaps: costly, Kernel: core.KernelLazyF, Instrument: true}, core.KernelLazyF},
+		{"instrumented-stays-diagonal", Options{Gaps: costly, Instrument: true}, core.KernelDiagonal},
+		{"modeled-stays-diagonal", Options{Gaps: costly, Backend: modeled}, core.KernelDiagonal},
+		{"linear-stays-diagonal", Options{Gaps: aln.Linear(2), Backend: modeled}, core.KernelDiagonal},
+		{"native-auto", Options{Gaps: costly}, core.KernelAuto},
+		{"native-ignores-explicit-striped", Options{Gaps: costly, Kernel: core.KernelStriped}, core.KernelAuto},
+		{"native-instrumented-ignores-explicit-lazyf", Options{Gaps: cheap, Kernel: core.KernelLazyF, Backend: core.BackendNative, Instrument: true}, core.KernelAuto},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := c.opt.kernel(c.qlen, b62, c.opt.backend(), c.pad)
-			if got != c.want {
-				t.Fatalf("kernel(qlen=%d, pad=%.1f, %+v) = %v, want %v", c.qlen, c.pad, c.opt, got, c.want)
+			if got := c.opt.kernel(c.opt.backend()); got != c.want {
+				t.Fatalf("kernel(%+v) = %v, want %v", c.opt, got, c.want)
 			}
 		})
-	}
-	// The boundary case depends on the matrix: BLOSUM62's max equals
-	// the default open penalty, so defaults sit on the lazy-F side.
-	if got := (&Options{Gaps: affine}).kernel(long, b62, core.BackendNative, padded); affine.Open > int32(b62.Max()) {
-		if got != core.KernelStriped {
-			t.Fatalf("default gaps resolved to %v, want striped", got)
-		}
-	} else if got != core.KernelLazyF {
-		t.Fatalf("default gaps resolved to %v, want lazyf", got)
 	}
 }
 
 // TestSearchReportsPlannedKernel runs real searches and checks that
-// Result.Kernel reflects the plan and the per-kernel counters
-// attribute the work to the right family.
+// Result.Kernel reflects the resolved family and that the per-family
+// counters attribute the modeled work to it. Native searches report
+// KernelAuto, count no family, and return the default native search's
+// scores even when a family is forced.
 func TestSearchReportsPlannedKernel(t *testing.T) {
 	g := seqio.NewGenerator(404)
-	db := g.Database(30)
-	longQ := g.Protein("q", plannerStripedMinQuery+80).Encode(protAlpha)
+	db := g.Database(6)
+	longQ := g.Protein("q", 464).Encode(protAlpha)
 	shortQ := g.Protein("s", 60).Encode(protAlpha)
 	costly := aln.Gaps{Open: 20, Extend: 1}
 	cheap := aln.Gaps{Open: 2, Extend: 1}
+	modeled := core.BackendModeled
 
 	cases := []struct {
 		name  string
@@ -78,10 +62,13 @@ func TestSearchReportsPlannedKernel(t *testing.T) {
 		opt   Options
 		want  core.Kernel
 	}{
-		{"auto-long-costly", longQ, Options{Gaps: costly, Threads: 2}, core.KernelStriped},
-		{"auto-long-cheap", longQ, Options{Gaps: cheap, Threads: 2}, core.KernelLazyF},
-		{"auto-short", shortQ, Options{Gaps: costly, Threads: 2}, core.KernelDiagonal},
-		{"forced-diagonal", longQ, Options{Gaps: costly, Threads: 2, Kernel: core.KernelDiagonal}, core.KernelDiagonal},
+		{"auto-long-costly", longQ, Options{Gaps: costly, Threads: 2, Backend: modeled}, core.KernelDiagonal},
+		{"auto-long-cheap", longQ, Options{Gaps: cheap, Threads: 2, Backend: modeled}, core.KernelDiagonal},
+		{"auto-short", shortQ, Options{Gaps: costly, Threads: 2}, core.KernelAuto},
+		{"forced-diagonal", shortQ, Options{Gaps: costly, Threads: 2, Kernel: core.KernelDiagonal, Backend: modeled}, core.KernelDiagonal},
+		{"forced-striped", shortQ, Options{Gaps: costly, Threads: 2, Kernel: core.KernelStriped, Backend: modeled}, core.KernelStriped},
+		{"forced-lazyf", shortQ, Options{Gaps: cheap, Threads: 2, Kernel: core.KernelLazyF, Backend: modeled}, core.KernelLazyF},
+		{"native-forced-striped", longQ, Options{Gaps: costly, Threads: 2, Kernel: core.KernelStriped}, core.KernelAuto},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -99,8 +86,27 @@ func TestSearchReportsPlannedKernel(t *testing.T) {
 					t.Fatalf("seq %d: score %d, want %d", i, h.Score, want)
 				}
 			}
-			// The family's counters carry the batches and cells.
 			s := res.Stats
+			families := s.BatchesDiagonal + s.BatchesStriped + s.BatchesLazyF
+			if c.want == core.KernelAuto {
+				// Native: the default search's scores, no family counted.
+				def := c.opt
+				def.Kernel = core.KernelAuto
+				base, err := Search(c.query, db, b62, def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range res.Hits {
+					if res.Hits[i] != base.Hits[i] {
+						t.Fatalf("seq %d: %+v, default native search %+v", i, res.Hits[i], base.Hits[i])
+					}
+				}
+				if families != 0 || s.CellsDiagonal+s.CellsStriped+s.CellsLazyF != 0 {
+					t.Fatalf("native search counted kernel families: %+v", s)
+				}
+				return
+			}
+			// The family's counters carry the batches and cells.
 			byFamily := map[core.Kernel][2]int64{
 				core.KernelDiagonal: {s.BatchesDiagonal, s.CellsDiagonal},
 				core.KernelStriped:  {s.BatchesStriped, s.CellsStriped},
@@ -110,7 +116,7 @@ func TestSearchReportsPlannedKernel(t *testing.T) {
 			if got[0] == 0 || got[1] == 0 {
 				t.Fatalf("family %v counters empty: batches=%d cells=%d (%+v)", c.want, got[0], got[1], s)
 			}
-			if s.BatchesDiagonal+s.BatchesStriped+s.BatchesLazyF != s.Batches8+s.Batches16 {
+			if families != s.Batches8+s.Batches16 {
 				t.Fatalf("kernel batch counters %d+%d+%d disagree with stage batches %d+%d",
 					s.BatchesDiagonal, s.BatchesStriped, s.BatchesLazyF, s.Batches8, s.Batches16)
 			}
@@ -120,11 +126,11 @@ func TestSearchReportsPlannedKernel(t *testing.T) {
 
 // TestInstrumentedSearchStaysDiagonal guards the figure apparatus: an
 // instrumented Auto search must run (and tally) the modeled diagonal
-// kernels even when the query shape would otherwise plan striped.
+// kernels.
 func TestInstrumentedSearchStaysDiagonal(t *testing.T) {
 	g := seqio.NewGenerator(405)
 	db := g.Database(12)
-	query := g.Protein("q", plannerStripedMinQuery+40).Encode(protAlpha)
+	query := g.Protein("q", 424).Encode(protAlpha)
 	res, err := Search(query, db, b62, Options{
 		Gaps: aln.Gaps{Open: 20, Extend: 1}, Threads: 1, Instrument: true,
 	})
@@ -139,103 +145,5 @@ func TestInstrumentedSearchStaysDiagonal(t *testing.T) {
 	}
 	if res.Stats.BatchesStriped != 0 || res.Stats.BatchesLazyF != 0 {
 		t.Fatalf("instrumented search ran striped batches: %+v", res.Stats)
-	}
-}
-
-// TestMultiSearchPlansFromShortestQuery pins the multi-query rule: one
-// short query in the set keeps the whole search on the diagonal
-// family, while an all-long set goes striped.
-func TestMultiSearchPlansFromShortestQuery(t *testing.T) {
-	g := seqio.NewGenerator(406)
-	db := g.Database(20)
-	gaps := aln.Gaps{Open: 20, Extend: 1}
-	long1 := g.Protein("l1", plannerStripedMinQuery+10).Encode(protAlpha)
-	long2 := g.Protein("l2", plannerStripedMinQuery+90).Encode(protAlpha)
-	short := g.Protein("s", 50).Encode(protAlpha)
-
-	check := func(queries [][]uint8, wantStriped bool) {
-		t.Helper()
-		res, err := MultiSearch(queries, db, b62, Options{Gaps: gaps, Threads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		stripedBatches := res.Stats.BatchesStriped + res.Stats.BatchesLazyF
-		if wantStriped && (stripedBatches == 0 || res.Stats.BatchesDiagonal != 0) {
-			t.Fatalf("want striped plan, got counters %+v", res.Stats)
-		}
-		if !wantStriped && stripedBatches != 0 {
-			t.Fatalf("want diagonal plan, got counters %+v", res.Stats)
-		}
-		for qi, q := range queries {
-			for si := range db {
-				want := baselines.ScalarAffine(q, db[si].Encode(protAlpha), b62, gaps).Score
-				if res.Scores[qi][si] != want {
-					t.Fatalf("q%d seq %d: score %d, want %d", qi, si, res.Scores[qi][si], want)
-				}
-			}
-		}
-	}
-	check([][]uint8{long1, long2}, true)
-	check([][]uint8{long1, short, long2}, false)
-}
-
-// TestBatchPadRatio pins the padding estimator against hand-computed
-// groupings, including the sorted-vs-stream-order distinction.
-func TestBatchPadRatio(t *testing.T) {
-	g := seqio.NewGenerator(408)
-	mk := func(lens ...int) []seqio.Sequence {
-		db := make([]seqio.Sequence, len(lens))
-		for i, n := range lens {
-			db[i] = g.Protein(fmt.Sprintf("p%d", i), n)
-		}
-		return db
-	}
-	if got := batchPadRatio(nil, 4, true); got != 1 {
-		t.Fatalf("empty db ratio = %v, want 1", got)
-	}
-	if got := batchPadRatio(mk(5, 5, 5, 5), 4, false); got != 1 {
-		t.Fatalf("uniform full batch ratio = %v, want 1", got)
-	}
-	// Stream order (10,90),(10,90) pads each batch to 90; sorting
-	// groups (10,10),(90,90) and packs perfectly.
-	mixed := mk(10, 90, 10, 90)
-	if got := batchPadRatio(mixed, 2, false); got != 1.8 {
-		t.Fatalf("unsorted ratio = %v, want 1.8", got)
-	}
-	if got := batchPadRatio(mixed, 2, true); got != 1 {
-		t.Fatalf("sorted ratio = %v, want 1", got)
-	}
-	// A final partial batch still runs every lane of the stride.
-	if got := batchPadRatio(mk(10), 2, false); got != 2 {
-		t.Fatalf("partial batch ratio = %v, want 2", got)
-	}
-}
-
-// TestPackedDatabaseStaysDiagonal pins the padding rule end to end: a
-// uniform-length database fills its batches, so even a long query
-// stays on the interleaved diagonal engine.
-func TestPackedDatabaseStaysDiagonal(t *testing.T) {
-	g := seqio.NewGenerator(407)
-	db := make([]seqio.Sequence, 128)
-	for i := range db {
-		db[i] = g.Protein(fmt.Sprintf("u%03d", i), 300)
-	}
-	query := g.Protein("q", plannerStripedMinQuery+200).Encode(protAlpha)
-	gaps := aln.Gaps{Open: 20, Extend: 1}
-	res, err := Search(query, db, b62, Options{Gaps: gaps, Threads: 2, SortByLength: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel != core.KernelDiagonal {
-		t.Fatalf("packed database planned %v, want diagonal", res.Kernel)
-	}
-	if res.Stats.BatchesStriped+res.Stats.BatchesLazyF != 0 {
-		t.Fatalf("packed database ran striped batches: %+v", res.Stats)
-	}
-	for i := 0; i < len(db); i += 17 {
-		want := baselines.ScalarAffine(query, db[i].Encode(protAlpha), b62, gaps).Score
-		if res.Hits[i].Score != want {
-			t.Fatalf("seq %d: score %d, want %d", i, res.Hits[i].Score, want)
-		}
 	}
 }

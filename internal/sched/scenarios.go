@@ -75,18 +75,16 @@ func MultiSearchContext(ctx context.Context, queries [][]uint8, db []seqio.Seque
 }
 
 // alignPairJob runs one subroutine pair with panic recovery so a
-// kernel fault poisons only that pair, not the worker. The kernel
-// family is planned per query (the subroutine scenario mixes query
-// lengths freely). A lone pair has no batch padding to reclaim, so
-// the planner's padRatio is 1 and auto resolves to diagonal; an
-// explicit Options.Kernel still wins. Traceback passes additionally
-// force the diagonal family inside the pair kernels, which only
-// honor striped on score-only calls.
+// kernel fault poisons only that pair, not the worker. A score-only
+// pair on the native backend runs native.Pair32; on modeled it runs
+// the adaptive ladder with the resolved kernel family. Traceback
+// passes run the modeled diagonal kernel on either backend, since the
+// pair kernels only honor striped on score-only calls.
 func alignPairJob(mch vek.Machine, q, d []uint8, mat *submat.Matrix, qi, si int, traceback bool, opt *Options, scratch *core.Scratch) (hit PairHit, err error) {
 	defer recoverAttempt("subroutine", nil, &err)
-	kern := opt.kernel(len(q), mat, opt.backend(), 1)
+	be := opt.backend()
 	r, tb, aerr := core.AlignPairAdaptive(mch, q, d, mat,
-		core.PairOptions{Gaps: opt.Gaps, Traceback: traceback, Scratch: scratch, Backend: opt.backend(), Kernel: kern})
+		core.PairOptions{Gaps: opt.Gaps, Traceback: traceback, Scratch: scratch, Backend: be, Kernel: opt.kernel(be)})
 	if aerr != nil {
 		return hit, aerr
 	}
@@ -129,7 +127,8 @@ func (r *SubroutineResult) GCUPS() float64 {
 
 // Subroutine aligns small query and database sets pairwise (Scenario
 // 3: SW as a library subroutine, SSW style): every pair runs the
-// adaptive 8/16-bit pair kernel, optionally with traceback, across the
+// adaptive 8/16-bit pair kernel on the modeled backend, or the exact
+// native.Pair32 on native, optionally with traceback, across the
 // worker pool. The working set fits in the highest cache level and is
 // reused heavily.
 func Subroutine(queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, traceback bool, opt Options) (*SubroutineResult, error) {

@@ -8,9 +8,12 @@
 // Scenarios 1 and 2 run as one streaming pipeline over a set of
 // queries (one query for scenario 1): a producer transposes database
 // batches on demand into one work queue, and a worker pool aligns each
-// batch at 8 bits for every query. The worker that finds a saturated
-// (query, lane) pair rescues it on its own, right after the batch, at
-// 16 and then 32 bits; no saturation is queued between goroutines.
+// batch for every query. On the modeled backend the batch runs at 8
+// bits, and the worker that finds a saturated (query, lane) pair
+// rescues it on its own, right after the batch, at 16 and then 32
+// bits; no saturation is queued between goroutines. On the native
+// backend every lane is scored exactly by native.Pair32, so nothing
+// saturates and nothing is rescued.
 package sched
 
 import (
@@ -61,20 +64,19 @@ type Options struct {
 	// batches), 512 (64-lane batches), or 0 to resolve from the native
 	// architecture model (512 when isa.Native().HasAVX512, else 256).
 	// The 16- and 32-bit rescues align one pair at a time on the pair
-	// kernels, whatever the width.
+	// kernels, whatever the width. On the native backend Width only
+	// sets how many sequences a batch holds: each is scored on its own.
 	Width int
 	// Backend selects the execution backend for every alignment stage.
-	// BackendAuto resolves to the compiled native kernels unless
-	// Instrument is set (instruction tallies only exist on the modeled
+	// BackendAuto resolves to the native backend unless Instrument is
+	// set (instruction tallies only exist on the modeled
 	// machine); BackendModeled and BackendNative force a backend.
 	Backend core.Backend
-	// Kernel selects the kernel family for every alignment stage.
-	// KernelAuto lets the per-query planner choose (see planner.go):
-	// instrumented, modeled, linear-gap, and short-query searches stay
-	// on the diagonal family; long queries take a striped variant
-	// picked by the gap model. KernelDiagonal, KernelStriped, and
-	// KernelLazyF force a family. The resolved choice is reported in
-	// Result.Kernel.
+	// Kernel selects the kernel family of the modeled backend's
+	// alignment stages: KernelAuto runs the diagonal family, and
+	// KernelDiagonal, KernelStriped, and KernelLazyF force a family.
+	// The native backend has one kernel, native.Pair32, and ignores
+	// Kernel. The resolved choice is reported in Result.Kernel.
 	Kernel core.Kernel
 }
 
@@ -89,6 +91,22 @@ func (o *Options) backend() core.Backend {
 		return core.BackendModeled
 	}
 	return core.BackendNative
+}
+
+// kernel resolves Options.Kernel for the resolved backend be. A
+// kernel family is a modeled-backend choice: native runs native.Pair32
+// whatever was asked and resolves to KernelAuto. On modeled an
+// explicit kernel wins, otherwise the diagonal family runs — the
+// figure apparatus, whose port-occupancy tallies are calibrated on the
+// diagonal layout.
+func (o *Options) kernel(be core.Backend) core.Kernel {
+	if be == core.BackendNative {
+		return core.KernelAuto
+	}
+	if o.Kernel != core.KernelAuto {
+		return o.Kernel
+	}
+	return core.KernelDiagonal
 }
 
 // width resolves Options.Width to a concrete register width.
@@ -118,7 +136,8 @@ type Hit struct {
 	SeqIndex int
 	Score    int32
 	// Rescued marks scores recovered by the 16-bit kernel after 8-bit
-	// saturation.
+	// saturation. Only the modeled backend saturates; on native it is
+	// always false.
 	Rescued bool
 }
 
@@ -151,11 +170,14 @@ type Result struct {
 	// streams inside the pipeline; the eager offline variant the paper
 	// measures separately is BuildBatches).
 	Elapsed time.Duration
-	// Rescued counts 8-bit saturations escalated to 16 bits.
+	// Rescued counts 8-bit saturations escalated to 16 bits (always 0
+	// on the native backend, which never saturates).
 	Rescued int
-	// Kernel is the kernel family the planner resolved for this search
-	// (never KernelAuto); every 8- and 16-bit stage ran it. The 32-bit
-	// escalation pairs always run the diagonal kernel.
+	// Kernel is the kernel family the search resolved: on the modeled
+	// backend the family every 8- and 16-bit stage ran (never
+	// KernelAuto; the 32-bit escalation pairs always run the diagonal
+	// kernel), on the native backend KernelAuto, since native has one
+	// kernel and ignores an explicit family.
 	Kernel core.Kernel
 	// Stats is the per-stage counter snapshot for this search: batches
 	// produced and aligned, cells by width, saturations, the work-queue
@@ -248,9 +270,9 @@ func SearchContext(ctx context.Context, query []uint8, db []seqio.Sequence, mat 
 }
 
 // search is the one dataflow behind Search and MultiSearch: it
-// validates the inputs, plans one kernel family for the query set,
-// streams the database through the worker pool, and returns the
-// drained pipeline with its MultiResult filled in. The pipeline is nil
+// validates the inputs, resolves the kernel family, streams the
+// database through the worker pool, and returns the drained pipeline
+// with its MultiResult filled in. The pipeline is nil
 // when the inputs are invalid or the pipeline's own machinery failed;
 // on a cancel it holds the partial result and err wraps ctx.Err().
 func search(ctx context.Context, queries [][]uint8, db []seqio.Sequence, mat *submat.Matrix, opt Options) (*pipeline, error) {
@@ -276,14 +298,6 @@ func search(ctx context.Context, queries [][]uint8, db []seqio.Sequence, mat *su
 	nbatches := (len(db) + lanes - 1) / lanes
 	nw := min(opt.threads(), nbatches)
 
-	// One 8-bit call serves every query of a batch, so the whole search
-	// runs one kernel family. Plan from the shortest query: striped only
-	// pays off when every query in the set clears the length threshold.
-	minQ := len(queries[0])
-	for _, q := range queries[1:] {
-		minQ = min(minQ, len(q))
-	}
-
 	// The internal context lets a pipeline crash (a panic the per-batch
 	// recovery could not absorb) cancel the dataflow without the caller
 	// having to; the outer ctx is still what decides whether the run
@@ -301,7 +315,7 @@ func search(ctx context.Context, queries [][]uint8, db []seqio.Sequence, mat *su
 			alpha:  alpha,
 			mat:    mat,
 			opt:    &opt,
-			kern:   opt.kernel(minQ, mat, opt.backend(), batchPadRatio(db, lanes, opt.SortByLength)),
+			kern:   opt.kernel(opt.backend()),
 			tally:  &vek.Tally{},
 		},
 		queries: queries,
@@ -376,8 +390,8 @@ type stages struct {
 	alpha *alphabet.Alphabet
 	mat   *submat.Matrix
 	opt   *Options
-	// kern is the planner's resolved kernel family for the search's 8-
-	// and 16-bit alignments.
+	// kern is the resolved kernel family for the search's 8- and 16-bit
+	// alignments; KernelAuto on the native backend.
 	kern core.Kernel
 
 	mu          sync.Mutex
@@ -662,9 +676,11 @@ func retry[R any](st *stages, try func(job) (R, error), j job) (R, error) {
 
 // tallyKernel adds batch and cell counts to the per-kernel-family
 // counters. Passing batches=0 attributes cells without counting a
-// batch, as the 32-bit escalations do.
+// batch, as the 32-bit escalations do. The families are modeled-backend
+// kernels, so native work (kern == KernelAuto) is not counted.
 func tallyKernel(met *metrics.Counters, kern core.Kernel, batches, cells int64) {
 	switch kern {
+	case core.KernelAuto: // the native backend: no family ran
 	case core.KernelStriped:
 		met.BatchesStriped.Add(batches)
 		met.CellsStriped.Add(cells)

@@ -6,6 +6,7 @@ import (
 
 	"swvec/internal/aln"
 	"swvec/internal/baselines"
+	"swvec/internal/core"
 	"swvec/internal/metrics"
 	"swvec/internal/seqio"
 	"swvec/internal/submat"
@@ -41,13 +42,15 @@ func TestSearchMatchesScalarScores(t *testing.T) {
 	}
 }
 
+// TestSearchRescuesSaturatedLanes runs on the modeled backend, the
+// only one whose 8-bit stage saturates.
 func TestSearchRescuesSaturatedLanes(t *testing.T) {
 	g := seqio.NewGenerator(102)
 	db := g.Database(40)
-	query := g.Protein("q", 600)
+	query := g.Protein("q", 200)
 	db = append(db, g.Related(query, "homolog", 0.03, 0.01))
 	qEnc := query.Encode(protAlpha)
-	res, err := Search(qEnc, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 2})
+	res, err := Search(qEnc, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 2, Backend: core.BackendModeled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +111,19 @@ func TestSearchSortByLengthInvariance(t *testing.T) {
 // TestSearchWidthInvariance is the width-parity acceptance check: the
 // 512-bit pipeline (64-lane batches, wide rescue engines) must produce
 // exactly the scores of the 256-bit pipeline, including on a workload
-// that forces 16-bit rescues through the wide engines.
+// that forces 16-bit rescues through the wide engines. It runs on the
+// modeled backend, the only one with width-specific engines.
 func TestSearchWidthInvariance(t *testing.T) {
 	g := seqio.NewGenerator(113)
-	db := g.Database(100)
-	query := g.Protein("q", 500)
+	db := g.Database(40)
+	query := g.Protein("q", 250)
 	db = append(db, g.Related(query, "homolog", 0.03, 0.01))
 	qEnc := query.Encode(protAlpha)
-	ref, err := Search(qEnc, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 3, Width: 256})
+	ref, err := Search(qEnc, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 3, Width: 256, Backend: core.BackendModeled})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := Search(qEnc, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 3, Width: 512})
+	wide, err := Search(qEnc, db, b62, Options{Gaps: aln.DefaultGaps(), Threads: 3, Width: 512, Backend: core.BackendModeled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +182,14 @@ func TestSearchErrors(t *testing.T) {
 // every (query, sequence) pair the scalar reference's score. Rows with
 // sameStats also run Search(q) and MultiSearch([q]) on one worker at
 // both vector widths: one dataflow must report the same Stats counters
-// for both, every field but the wall-clock timings.
+// for both, every field but the wall-clock timings. Rows that need
+// rescues run on the modeled backend, the only one that saturates.
 func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 	g := seqio.NewGenerator(107)
 	escDB, escQuery := escalationDB(t, 402)
 	// 257 sequences make at least five batches at either width, so a
 	// one-worker queue fills to its capacity of 2 in both scenarios; the
-	// homolog saturates 8 bits and is rescued at 16. The query is short
-	// enough that the planner keeps the diagonal family.
+	// homolog saturates 8 bits and is rescued at 16.
 	og := seqio.NewGenerator(114)
 	oneQuery := og.Protein("q", 200)
 	var oneDB []seqio.Sequence
@@ -198,21 +202,22 @@ func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 		db        []seqio.Sequence
 		queries   [][]uint8
 		mat       *submat.Matrix
+		backend   core.Backend
 		sameStats bool
 	}{
 		{"blosum62", g.Database(48), [][]uint8{
 			g.Protein("q0", 50).Encode(protAlpha),
 			g.Protein("q1", 120).Encode(protAlpha),
 			g.Protein("q2", 33).Encode(protAlpha),
-		}, b62, false},
+		}, b62, core.BackendAuto, false},
 		// The self-hit scores 120*400 = 48000, past int16: the rescue
 		// must climb to the 32-bit tier in both scenarios.
-		{"escalation", escDB, [][]uint8{escQuery}, escalationMat, false},
-		{"one-query", oneDB, [][]uint8{oneQuery.Encode(protAlpha)}, b62, true},
+		{"escalation", escDB, [][]uint8{escQuery}, escalationMat, core.BackendModeled, false},
+		{"one-query", oneDB, [][]uint8{oneQuery.Encode(protAlpha)}, b62, core.BackendModeled, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			multi, err := MultiSearch(c.queries, c.db, c.mat, Options{Gaps: aln.DefaultGaps(), Threads: 4})
+			multi, err := MultiSearch(c.queries, c.db, c.mat, Options{Gaps: aln.DefaultGaps(), Threads: 4, Backend: c.backend})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +225,7 @@ func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 				t.Fatalf("scores rows = %d", len(multi.Scores))
 			}
 			for qi, q := range c.queries {
-				single, err := Search(q, c.db, c.mat, Options{Gaps: aln.DefaultGaps()})
+				single, err := Search(q, c.db, c.mat, Options{Gaps: aln.DefaultGaps(), Backend: c.backend})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,7 +243,7 @@ func TestMultiSearchMatchesSingleSearches(t *testing.T) {
 				return
 			}
 			for _, width := range []int{256, 512} {
-				opt := Options{Gaps: aln.DefaultGaps(), Threads: 1, Width: width}
+				opt := Options{Gaps: aln.DefaultGaps(), Threads: 1, Width: width, Backend: c.backend}
 				single, err := Search(c.queries[0], c.db, c.mat, opt)
 				if err != nil {
 					t.Fatal(err)

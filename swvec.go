@@ -6,7 +6,9 @@
 // diagonal memory indexing, the reorganized substitution matrix with
 // gather and query-profile scoring, an interleaved 32-sequence batch
 // engine, variable 8/16-bit width, optional traceback, and the
-// Parasail-style diag/scan/striped comparison kernels.
+// Parasail-style diag/scan/striped comparison kernels. Score-only
+// alignments and searches run by default on the native backend
+// instead: one exact 32-bit pair kernel in plain Go (see WithBackend).
 //
 // Quick start:
 //
@@ -76,9 +78,9 @@ type (
 	Kernel = core.Kernel
 )
 
-// Execution backends. Auto resolves to the compiled native kernels for
-// serving paths and to the modeled vek machine wherever instruction
-// tallies are requested; the explicit values force a backend.
+// Execution backends. Auto resolves to the native backend for serving
+// paths and to the modeled vek machine wherever instruction tallies
+// are requested; the explicit values force a backend.
 const (
 	BackendAuto    = core.BackendAuto
 	BackendModeled = core.BackendModeled
@@ -89,13 +91,12 @@ const (
 // "native".
 func ParseBackend(s string) (Backend, error) { return core.ParseBackend(s) }
 
-// Kernel families. Auto lets the per-query planner pick: short
-// queries, linear gaps, and instrumented or modeled runs stay on the
-// diagonal (anti-diagonal wavefront) family; long affine-gap queries
-// take a striped variant — classic lazy-F when gap opens are costly
-// enough that corrections rarely fire, the deconstructed
-// shift-subtract-max scan otherwise. The explicit values force a
-// family.
+// Kernel families of the modeled backend. Auto runs the diagonal
+// (anti-diagonal wavefront) family; the explicit values force a
+// family: diagonal, Farrar's striped layout with the classic lazy-F
+// loop, or the deconstructed shift-subtract-max scan. The native
+// backend has one kernel, an exact 32-bit pair recurrence, and ignores
+// the family.
 const (
 	KernelAuto     = core.KernelAuto
 	KernelDiagonal = core.KernelDiagonal
@@ -249,7 +250,9 @@ func WithLengthSortedBatches() Option {
 // pipeline's 8-bit batch engine, for Search and SearchAll alike: 256
 // (32-lane batches), 512 (64-lane batches), or 0 to auto-detect from
 // the native architecture model. The 16- and 32-bit rescues align one
-// pair at a time and do not depend on it.
+// pair at a time and do not depend on it. On the native backend the
+// width only sets how many sequences a batch holds; each is scored on
+// its own.
 func WithVectorWidth(bits int) Option {
 	return func(a *Aligner) error {
 		switch bits {
@@ -262,12 +265,15 @@ func WithVectorWidth(bits int) Option {
 }
 
 // WithBackend selects the execution backend. The default (BackendAuto)
-// runs alignments on the compiled native Go kernels, which produce
-// bit-identical scores, saturation flags, and hit positions to the
-// modeled vector machine at a fraction of the cost; BackendModeled
-// forces the instrumented vek machine (required for instruction
-// tallies, traceback always uses it). Figure and profiling runs that
-// instrument the pipeline resolve Auto back to the modeled backend.
+// runs score-only alignments and searches on the native backend: one
+// exact 32-bit pair kernel in plain Go, which returns the modeled
+// vector machine's scores at a fraction of the cost, never saturates,
+// and so never rescues (Hit.Rescued and the 8-bit saturation counters
+// stay zero). BackendModeled forces the instrumented vek machine with
+// its 8/16/32-bit saturation ladder (required for instruction tallies;
+// traceback and position tracking always use it). Figure and profiling
+// runs that instrument the pipeline resolve Auto back to the modeled
+// backend.
 func WithBackend(b Backend) Option {
 	return func(a *Aligner) error {
 		switch b {
@@ -279,12 +285,14 @@ func WithBackend(b Backend) Option {
 	}
 }
 
-// WithKernel selects the kernel family for alignments and searches.
-// The default (KernelAuto) lets the per-query planner choose — the
-// resolved choice is reported in SearchResult.Kernel — while the
-// explicit values force a family everywhere it applies: the striped
-// families serve score-only affine-gap alignments, so traceback and
-// linear-gap calls run the diagonal kernels regardless.
+// WithKernel selects the kernel family of the modeled backend's
+// alignments and searches. The default (KernelAuto) runs the diagonal
+// family — the resolved choice is reported in SearchResult.Kernel —
+// while the explicit values force a family everywhere it applies: the
+// striped families serve score-only affine-gap alignments, so
+// traceback and linear-gap calls run the diagonal kernels regardless.
+// A kernel family is a modeled-backend choice: the native backend
+// ignores it, and its SearchResult.Kernel reads KernelAuto.
 func WithKernel(k Kernel) Option {
 	return func(a *Aligner) error {
 		switch k {
@@ -330,7 +338,8 @@ func (a *Aligner) ValidateSequence(seq []byte) error {
 }
 
 // Score computes the optimal local alignment score of query against
-// target using the adaptive 8/16-bit pair kernel.
+// target: with the exact 32-bit pair kernel on the native backend (the
+// default), with the adaptive 8/16/32-bit pair kernels on modeled.
 func (a *Aligner) Score(query, target []byte) (int32, error) {
 	q, err := a.encode(query)
 	if err != nil {
@@ -366,9 +375,11 @@ func (a *Aligner) Align(query, target []byte) (*Alignment, error) {
 
 // Search aligns query against every database sequence with the
 // high-throughput streaming batch pipeline: batches are transposed on
-// demand and aligned at 8 bits by one worker pool, and the worker that
-// finds a saturated lane rescores it on its own at 16 bits (and at 32
-// past int16) before it takes the next batch.
+// demand and aligned by one worker pool. On the native backend every
+// lane is scored exactly on the first pass; on modeled a batch runs at
+// 8 bits, and the worker that finds a saturated lane rescores it on
+// its own at 16 bits (and at 32 past int16) before it takes the next
+// batch.
 func (a *Aligner) Search(query []byte, db []Sequence) (*SearchResult, error) {
 	return a.SearchContext(context.Background(), query, db)
 }
