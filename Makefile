@@ -13,8 +13,10 @@ verify:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# Plain, then -tags failpoint so the chaos-only code is vetted too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags failpoint ./...
 
 # Repo-specific invariants (DESIGN.md §11): hot-path allocations,
 # lane-width derivation, scheduler goroutine/channel lifecycle, metrics

@@ -537,9 +537,9 @@ func startCannedShard(b *testing.B, hits []cluster.Hit) string {
 // per-query cost — dial, fan-out, per-replica admission, and global
 // top-K merge — over canned shard endpoints. The per-slice answers are
 // real top-K lists computed once by the local pipeline, so the merge
-// works on representative data; replicas=1 is the PR-8 single-copy
-// path and replicas=2 prices the replicated admission walk (the
-// prober stays off, as it does on the query path).
+// works on representative data; replicas=1 is the single-copy path
+// and replicas=2 prices the replicated admission walk. No prober runs:
+// it pings off the query path, and these canned shards never fail.
 func BenchmarkSearchScatter(b *testing.B) {
 	const shards, topK = 3, 5
 	db := GenerateDatabase(42, 512)

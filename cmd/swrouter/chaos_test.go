@@ -178,9 +178,8 @@ func TestRouterChaosAllReplicasDownQuarantine(t *testing.T) {
 // TestRouterChaosFlappingReplicaReintegratedOnlyByProbe injects
 // persistent health-check failures: the replica flaps down via its
 // failing probes, stays quarantined through multiple cooldowns even
-// though queries keep arriving (with a prober running, queries never
-// take the half-open slot), and rejoins only after the probes succeed
-// again.
+// though queries keep arriving (queries never take the half-open
+// slot), and rejoins only after the probes succeed again.
 func TestRouterChaosFlappingReplicaReintegratedOnlyByProbe(t *testing.T) {
 	leakcheck.Check(t)
 	defer failpoint.DisableAll()

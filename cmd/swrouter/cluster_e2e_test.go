@@ -96,14 +96,15 @@ func e2eExpectations(t *testing.T, al *swvec.Aligner, db []swvec.Sequence, query
 // router, and drive concurrent queries while a shard process is
 // SIGKILLed mid-search.
 //
-// With -replicas 1 (the replicas=1 subtest) the PR-8 contract holds
-// unchanged: every response is bit-identical to a single-node search —
-// of the whole database while the fleet is healthy, of the surviving
-// shards' slices once it is not — and the dead shard is reported, not
-// papered over. With two replicas per slice (replicas=2), killing a
-// *primary* must not cost completeness at all: every response stays
-// partial=false and bit-identical to the full single-node search,
-// served through failover. leakcheck holds throughout.
+// With -replicas 1 (the replicas=1 subtest) every response is
+// bit-identical to a single-node search — of the whole database while
+// the fleet is healthy, of the surviving shards' slices once it is
+// not — and the dead shard is reported, not papered over; the health
+// prober marks it down. With two replicas per slice (replicas=2),
+// killing a *primary* must not cost completeness at all: every
+// response stays partial=false and bit-identical to the full
+// single-node search, served through failover. leakcheck holds
+// throughout.
 func TestClusterE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e spawns real shard processes; skipped in -short")
@@ -113,8 +114,9 @@ func TestClusterE2E(t *testing.T) {
 	t.Run("replicas=2", func(t *testing.T) { clusterE2EReplicated(t, bin) })
 }
 
-// clusterE2ESingle is the pre-replication chaos gate, preserved
-// verbatim: one process per shard, a SIGKILL degrades to partial.
+// clusterE2ESingle is the single-copy chaos gate, run the way swrouter
+// runs -replicas 1: one process per shard with the health prober on,
+// and a SIGKILL degrades to partial.
 func clusterE2ESingle(t *testing.T, bin string) {
 	leakcheck.Check(t)
 
@@ -150,8 +152,12 @@ func clusterE2ESingle(t *testing.T, bin string) {
 		RetryMax:        50 * time.Millisecond,
 		BreakerFailures: 3,
 		BreakerCooldown: 250 * time.Millisecond,
+		ProbeInterval:   25 * time.Millisecond,
+		ProbeTimeout:    2 * time.Second,
 	}
 	pool := cluster.NewPool(addrs, cluster.NewIndex(db), pol)
+	pool.StartProber()
+	defer pool.StopProber()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -256,6 +262,20 @@ func clusterE2ESingle(t *testing.T, bin string) {
 	t.Logf("e2e: %d full + %d partial responses, all bit-identical to single-node search", fullN, partialN)
 	if fullN+partialN != clients*perClient {
 		t.Fatalf("got %d responses, want %d", fullN+partialN, clients*perClient)
+	}
+
+	// The prober watches a single copy too: the dead shard's only
+	// replica reads down, with failed pings on its record.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rs := pool.Metrics().Snapshot().Shards[deadShard].Replicas
+		if len(rs) == 1 && rs[0].State == "down" && rs[0].ProbeFailures > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("killed shard's replica = %+v, want down with failed probes", rs)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	// The healthy shards must shut down cleanly on SIGTERM; the killed

@@ -71,7 +71,7 @@ func main() {
 		retries      = flag.Int("retries", 2, "retries per replica on transient errors before failing over")
 		brkFails     = flag.Int("breaker-failures", 3, "consecutive replica failures that quarantine it")
 		brkCool      = flag.Duration("breaker-cooldown", 5*time.Second, "replica quarantine duration before a probe")
-		probeEvery   = flag.Duration("probe-interval", time.Second, "health-ping period per replica (replicas > 1)")
+		probeEvery   = flag.Duration("probe-interval", time.Second, "health-ping period per replica")
 		probeTimeout = flag.Duration("probe-timeout", 2*time.Second, "per-ping deadline for the health prober")
 
 		maxConns    = flag.Int("max-conns", 256, "maximum concurrent client connections")
@@ -206,13 +206,8 @@ func runRouter(s routerSetup) {
 	}
 
 	pool := cluster.NewReplicatedPool(groups, cluster.NewIndex(db), s.pol)
-	if s.replicas > 1 {
-		// With one replica there is nowhere to fail over, so admission
-		// keeps the breaker-driven probing and the prober stays off —
-		// byte-for-byte the pre-replication behavior.
-		pool.StartProber()
-		defer pool.StopProber()
-	}
+	pool.StartProber()
+	defer pool.StopProber()
 	if s.admin != "" {
 		// The per-shard and per-replica routing counters and the shard
 		// map join /debug/vars, and /debug/cluster serves the same

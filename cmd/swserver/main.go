@@ -14,10 +14,9 @@
 // compute-side protections: a full queue sheds new requests
 // immediately (429-style) instead of stalling the connection, repeated
 // batch failures trip a circuit breaker that fast-rejects until a
-// cooldown probe succeeds, sustained queue pressure switches batches
-// to a reduced-capacity degraded aligner, and shutdown answers every
-// queued request before it returns. Every protective action is counted
-// in the swvec.search expvar counters.
+// cooldown probe succeeds, and shutdown answers every queued request
+// before it returns. Every protective action is counted in the
+// swvec.search expvar counters.
 //
 // Server:  swserver -listen :7979 -db db.fasta [-batch 8]
 //
@@ -37,7 +36,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"runtime"
 	"time"
 
 	"swvec"
@@ -84,24 +82,10 @@ func main() {
 		brkCool    = flag.Duration("breaker-cooldown", 5*time.Second, "circuit-breaker open duration before a probe batch")
 		admin      = flag.String("admin", "", "opt-in admin address serving /debug/vars and pprof")
 		timeout    = flag.Duration("timeout", 30*time.Second, "client-mode dial and I/O deadline (0 disables)")
-		backendStr = flag.String("backend", "auto", "execution backend: auto (native), modeled, or native")
-		kernelStr  = flag.String("kernel", "auto", "modeled-backend kernel family: auto (diagonal), diagonal, striped, or lazyf; the native backend ignores it")
 		shardIdx   = flag.Int("shard-index", 0, "serve only shard shard-index of a shard-count cluster")
 		shardCount = flag.Int("shard-count", 0, "total shards in the cluster (0 = standalone)")
 	)
 	flag.Parse()
-
-	backend, berr := swvec.ParseBackend(*backendStr)
-	if berr != nil {
-		fmt.Fprintf(os.Stderr, "swserver: %v\n", berr)
-		os.Exit(2)
-	}
-
-	kernel, kerr := swvec.ParseKernel(*kernelStr)
-	if kerr != nil {
-		fmt.Fprintf(os.Stderr, "swserver: %v\n", kerr)
-		os.Exit(2)
-	}
 
 	switch {
 	case *listen != "":
@@ -112,8 +96,6 @@ func main() {
 			breakFails:    *brkFails,
 			breakCooldown: *brkCool,
 			threads:       *threads,
-			backend:       backend,
-			kernel:        kernel,
 		})
 	case *connect != "":
 		code, err := serve.RunClient(os.Stdout, *connect, *query, *top, *timeout)
@@ -139,9 +121,7 @@ type serverConfig struct {
 	reqTimeout    time.Duration // per-batch compute deadline, 0 = none
 	breakFails    int           // breaker threshold, 0 = default
 	breakCooldown time.Duration // breaker cooldown, 0 = default
-	threads       int           // worker threads, informs the degraded aligner
-	backend       swvec.Backend // execution backend for both aligners
-	kernel        swvec.Kernel  // kernel family for both aligners
+	threads       int           // worker threads, 0 = GOMAXPROCS
 }
 
 // server is the front end's backend that batches admitted queries and
@@ -149,15 +129,10 @@ type serverConfig struct {
 // any more: the batcher then processes whatever is still queued (the
 // flush), and the replies flow back to the waiting reply goroutines.
 type server struct {
-	al *swvec.Aligner
-	// alDeg is the reduced-capacity aligner batches fall back to under
-	// queue pressure: half the threads cap the compute layer's CPU
-	// footprint so the server keeps absorbing and shedding load instead
-	// of thrashing.
-	alDeg *swvec.Aligner
-	brk   *cluster.Breaker
-	db    []swvec.Sequence
-	cfg   serverConfig
+	al  *swvec.Aligner
+	brk *cluster.Breaker
+	db  []swvec.Sequence
+	cfg serverConfig
 
 	queue       chan pending
 	batcherDone chan struct{}
@@ -175,13 +150,8 @@ func newServer(al *swvec.Aligner, db []swvec.Sequence, cfg serverConfig) *server
 	if cfg.breakCooldown <= 0 {
 		cfg.breakCooldown = 5 * time.Second
 	}
-	alDeg := newDegradedAligner(cfg.threads, cfg.backend, cfg.kernel)
-	if alDeg == nil {
-		alDeg = al
-	}
 	return &server{
 		al:          al,
-		alDeg:       alDeg,
 		brk:         cluster.NewBreaker(cfg.breakFails, cfg.breakCooldown),
 		db:          db,
 		cfg:         cfg,
@@ -231,32 +201,6 @@ func (s *server) Drain(ctx context.Context) {
 	}
 }
 
-// newDegradedAligner builds the degraded-mode aligner: half the
-// configured threads (at least one). A batch runs SearchAllContext,
-// whose streaming pipeline sizes its queue at two batches per worker,
-// so threads are its only capacity knob. Scores are identical to the
-// primary aligner's — only throughput shrinks.
-func newDegradedAligner(threads int, backend swvec.Backend, kernel swvec.Kernel) *swvec.Aligner {
-	n := threads
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	n /= 2
-	if n < 1 {
-		n = 1
-	}
-	al, err := swvec.New(
-		swvec.WithThreads(n),
-		swvec.WithLengthSortedBatches(),
-		swvec.WithBackend(backend),
-		swvec.WithKernel(kernel),
-	)
-	if err != nil {
-		return nil
-	}
-	return al
-}
-
 // batcher runs the multi-query engine once per batch — the scenario-2
 // design — and is work-conserving: it blocks only for a batch's first
 // request, then takes whatever else is already queued, up to
@@ -288,10 +232,9 @@ func (s *server) batcher() {
 
 // process aligns one batch under the per-request deadline and answers
 // every query, including per-request errors when the compute is cut
-// short. It is also where the overload protections bind to the compute
-// layer: an open circuit breaker refuses the batch outright, queue
-// pressure switches to the degraded aligner, and the batch's outcome
-// feeds the breaker.
+// short. It is also where the circuit breaker binds to the compute
+// layer: an open breaker refuses the batch outright, and the batch's
+// outcome feeds the breaker.
 func (s *server) process(batch []pending) {
 	if !s.brk.Allow() {
 		metrics.Global.BreakerRejected.Add(int64(len(batch)))
@@ -310,17 +253,7 @@ func (s *server) process(batch []pending) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.reqTimeout)
 		defer cancel()
 	}
-	al := s.al
-	degraded := false
-	if q := len(s.queue); q >= 3*cap(s.queue)/4 {
-		// Sustained pressure: the queue is still three-quarters full
-		// after this batch was taken. Cap the compute footprint so
-		// connection handling and shedding stay responsive.
-		al, degraded = s.alDeg, true
-		metrics.Global.Degraded.Add(1)
-		s.logf("level=warn event=degraded queue_len=%d queue_cap=%d", q, cap(s.queue))
-	}
-	res, err := searchBatch(ctx, al, queries, s.db)
+	res, err := searchBatch(ctx, s.al, queries, s.db)
 	if err != nil {
 		if s.brk.OnFailure() {
 			metrics.Global.BreakerTrips.Add(1)
@@ -334,9 +267,9 @@ func (s *server) process(batch []pending) {
 		return
 	}
 	s.brk.OnSuccess()
-	s.logf("level=info event=batch queries=%d cells=%d elapsed_ms=%.1f gcups=%.3f rescued=%d quarantined=%d degraded=%t queue_len=%d",
+	s.logf("level=info event=batch queries=%d cells=%d elapsed_ms=%.1f gcups=%.3f rescued=%d quarantined=%d queue_len=%d",
 		len(batch), res.Cells, float64(res.Elapsed.Microseconds())/1000, res.GCUPS(),
-		res.Rescued, len(res.Quarantined), degraded, len(s.queue))
+		res.Rescued, len(res.Quarantined), len(s.queue))
 	for qi, p := range batch {
 		n := p.req.Top
 		if n <= 0 {
@@ -386,7 +319,7 @@ func runServer(addr, dbPath string, genDB int, admin string, shardIdx, shardCoun
 		log.Printf("level=info event=shard index=%d count=%d seqs=%d of=%d residues=%d",
 			shardIdx, shardCount, len(db), full, swvec.TotalResidues(db))
 	}
-	al, err := swvec.New(swvec.WithThreads(cfg.threads), swvec.WithLengthSortedBatches(), swvec.WithBackend(cfg.backend), swvec.WithKernel(cfg.kernel))
+	al, err := swvec.New(swvec.WithThreads(cfg.threads), swvec.WithLengthSortedBatches())
 	if err != nil {
 		fatal("%v", err)
 	}

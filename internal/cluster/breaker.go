@@ -13,9 +13,9 @@ import (
 )
 
 // Breaker is a consecutive-failure circuit breaker. swserver guards its
-// batch compute path with one; the router runs one per shard so a dead
-// or flapping shard degrades into fast, explicit skips instead of every
-// query burning a full shard timeout against it.
+// batch compute path with one; the router runs one per replica so a
+// dead or flapping replica degrades into fast, explicit skips instead of
+// every query burning a full shard timeout against it.
 //
 // States: closed (normal), open (rejecting until the cooldown passes),
 // half-open (one probe in flight decides whether to close or reopen).
@@ -46,7 +46,7 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 // Closed reports whether the breaker is in its normal closed state —
 // no failure streak has tripped it and no reintegration probe is
 // pending. Unlike Allow it never transitions state, so callers that
-// must not consume the half-open probe slot (replica failover and
+// must not consume the half-open probe slot (replica admission and
 // hedge-target selection, which leave reintegration to the health
 // prober) can check health without racing the prober for it.
 func (b *Breaker) Closed() bool {

@@ -80,9 +80,6 @@ func (r *ReplicaMetrics) SetState(s int64) {
 	}
 }
 
-// NewMetrics returns a Metrics block for n single-replica shards.
-func NewMetrics(n int) *Metrics { return NewReplicatedMetrics(n, 1) }
-
 // NewReplicatedMetrics returns a Metrics block for n shards of r
 // replicas each.
 func NewReplicatedMetrics(n, r int) *Metrics {
@@ -170,22 +167,18 @@ func (m *Metrics) Snapshot() Snapshot {
 			Skipped:        sh.Skipped.Load(),
 			Failovers:      sh.Failovers.Load(),
 		}
-		// Single-replica pools omit the replica breakdown: it would
-		// duplicate the shard row and churn every /debug/vars scrape.
-		if i < len(m.replicas) && len(m.replicas[i]) > 1 {
-			for rank := range m.replicas[i] {
-				r := &m.replicas[i][rank]
-				snap.Replicas = append(snap.Replicas, ReplicaSnapshot{
-					Rank:             rank,
-					State:            replicaStateName(r.State.Load()),
-					Requests:         r.Requests.Load(),
-					Errors:           r.Errors.Load(),
-					Failovers:        r.Failovers.Load(),
-					Probes:           r.Probes.Load(),
-					ProbeFailures:    r.ProbeFailures.Load(),
-					StateTransitions: r.StateChanges.Load(),
-				})
-			}
+		for rank := range m.replicas[i] {
+			r := &m.replicas[i][rank]
+			snap.Replicas = append(snap.Replicas, ReplicaSnapshot{
+				Rank:             rank,
+				State:            replicaStateName(r.State.Load()),
+				Requests:         r.Requests.Load(),
+				Errors:           r.Errors.Load(),
+				Failovers:        r.Failovers.Load(),
+				Probes:           r.Probes.Load(),
+				ProbeFailures:    r.ProbeFailures.Load(),
+				StateTransitions: r.StateChanges.Load(),
+			})
 		}
 		s.Shards[i] = snap
 	}

@@ -13,29 +13,28 @@ import (
 )
 
 // The health prober: a background loop that pings every replica each
-// ProbeInterval and feeds the verdicts to the replica breakers. While
-// it runs, query admission (admitCause) becomes a pure read of breaker
-// state — a replica that tripped its breaker is reintegrated only when
-// a probe takes the half-open slot and succeeds, never by risking a
-// live query against a process that just failed. Pings use the
-// admission-exempt TypePing request, so they measure liveness (is the
-// process up and answering its accept loop), not compute-queue depth.
+// ProbeInterval and feeds the verdicts to the replica breakers. Query
+// admission (admitCause) is a pure read of breaker state, so a replica
+// that tripped its breaker is reintegrated only when a probe takes the
+// half-open slot and succeeds, never by risking a live query against a
+// process that just failed. Pings use the admission-exempt TypePing
+// request, so they measure liveness (is the process up and answering
+// its accept loop), not compute-queue depth.
 
-// StartProber launches the background health loop. Idempotent: a
-// second start while running is a no-op. Callers that start a prober
-// own stopping it (StopProber) before discarding the pool, or the
-// loop's goroutine leaks.
+// StartProber launches the background health loop. Until it runs, a
+// replica whose breaker trips stays quarantined. Idempotent: a second
+// start while running is a no-op. Callers that start a prober own
+// stopping it (StopProber) before discarding the pool, or the loop's
+// goroutine leaks.
 func (p *Pool) StartProber() {
 	p.probeMu.Lock()
 	defer p.probeMu.Unlock()
-	if p.proberOn.Load() {
+	if p.probeDone != nil {
 		return
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	p.probeCancel = cancel
-	p.probeDone = make(chan struct{})
-	done := p.probeDone
-	p.proberOn.Store(true)
+	done := make(chan struct{})
+	p.probeCancel, p.probeDone = cancel, done
 	go func() {
 		defer close(done)
 		p.probeLoop(ctx)
@@ -43,17 +42,16 @@ func (p *Pool) StartProber() {
 }
 
 // StopProber cancels the health loop and waits for it — and every
-// in-flight ping — to finish, then returns admission to breaker-driven
-// probing. Safe to call when no prober runs.
+// in-flight ping — to finish. Safe to call when no prober runs.
 func (p *Pool) StopProber() {
 	p.probeMu.Lock()
 	defer p.probeMu.Unlock()
-	if !p.proberOn.Load() {
+	if p.probeDone == nil {
 		return
 	}
 	p.probeCancel()
 	<-p.probeDone
-	p.proberOn.Store(false)
+	p.probeCancel, p.probeDone = nil, nil
 }
 
 // probeLoop pings the whole cluster once immediately (so a router that

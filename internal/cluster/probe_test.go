@@ -26,11 +26,13 @@ func testSequences() []seqio.Sequence {
 // down it slams every accepted connection, while up it echoes pings
 // and answers searches with canned hits. The address never changes
 // across flaps, which is exactly what a crashing-and-restarting shard
-// process behind a stable endpoint looks like.
+// process behind a stable endpoint looks like. searches counts the
+// search requests it answered.
 type flappyServer struct {
-	ln   net.Listener
-	down atomic.Bool
-	hits []Hit
+	ln       net.Listener
+	down     atomic.Bool
+	hits     []Hit
+	searches atomic.Int64
 
 	mu    sync.Mutex
 	conns map[net.Conn]struct{}
@@ -86,6 +88,7 @@ func (s *flappyServer) serve() {
 				}
 				resp := Response{ID: req.ID}
 				if req.Type != TypePing {
+					s.searches.Add(1)
 					resp.Hits = s.hits
 				}
 				if json.NewEncoder(conn).Encode(resp) != nil {
@@ -110,7 +113,7 @@ func (s *flappyServer) Close() {
 // without failpoints: a primary goes down, queries fail over to the
 // sibling and the tripped breaker quarantines the primary; while the
 // prober's pings keep failing the primary stays quarantined (queries
-// never probe it — admission under a prober is a pure read); once the
+// never probe it — admission is a pure read); once the
 // process is healthy again the prober's half-open ping reintegrates
 // it, and queries return to the primary with no failover.
 func TestProberReintegratesFlappingReplica(t *testing.T) {
@@ -202,6 +205,66 @@ func TestProberReintegratesFlappingReplica(t *testing.T) {
 	}
 	if met.StateChanges.Load() < 2 {
 		t.Fatalf("state transitions = %d, want >= 2 (down then healthy)", met.StateChanges.Load())
+	}
+}
+
+// TestQueriesNeverReintegrateReplica: a single replica whose breaker
+// tripped stays quarantined after it is healthy again and its cooldown
+// has passed — queries are skipped with the awaiting-probe cause and
+// none reaches the process — until the prober's ping reintegrates it.
+// One replica gets the same health model as several.
+func TestQueriesNeverReintegrateReplica(t *testing.T) {
+	leakcheck.Check(t)
+	srv := startFlappyServer(t, []Hit{{SeqID: "A", Score: 10}})
+	pol := Policy{
+		Timeout:         time.Second,
+		BreakerFailures: 1,
+		BreakerCooldown: 20 * time.Millisecond,
+		ProbeInterval:   10 * time.Millisecond,
+		ProbeTimeout:    500 * time.Millisecond,
+	}
+	pool := NewPool([]string{srv.Addr()}, NewIndex(testSequences()), pol)
+	req := Request{ID: "q", Residues: "ACDEFGHIKL", Top: 1}
+	scatter := func() ShardReport {
+		t.Helper()
+		_, rep, err := pool.Scatter(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+
+	srv.down.Store(true)
+	if rep := scatter(); !rep.Partial() {
+		t.Fatalf("dead replica answered: %+v", rep)
+	}
+	srv.down.Store(false)
+	time.Sleep(2 * pol.BreakerCooldown)
+
+	searches := srv.searches.Load()
+	rep := scatter()
+	if !rep.Partial() {
+		t.Fatalf("a query reintegrated the replica: %+v", rep)
+	}
+	if cause := rep.Causes["0"]; cause != "quarantined: awaiting reintegration probe" {
+		t.Fatalf("quarantine cause = %q", cause)
+	}
+	if got := srv.searches.Load(); got != searches {
+		t.Fatalf("quarantined replica answered %d queries", got-searches)
+	}
+
+	pool.StartProber()
+	defer pool.StopProber()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rep := scatter()
+		if len(rep.OK) == 1 && len(rep.Attempts) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("prober never reintegrated the healthy replica: %+v", rep)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"swvec/internal/failpoint"
@@ -43,8 +42,7 @@ type Policy struct {
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	// ProbeInterval is the health prober's ping period and ProbeTimeout
-	// the per-ping deadline (StartProber). They only matter while a
-	// prober runs.
+	// the per-ping deadline (StartProber).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 }
@@ -100,21 +98,20 @@ type Shard struct {
 // Pool scatters queries across a fixed set of shard replica groups and
 // gathers their top-K answers into one globally ordered result. It is
 // safe for concurrent use; every counter it keeps is atomic.
+//
+// Queries never reintegrate a replica: admission is a pure read of its
+// breaker, and only the health prober's pings (StartProber) close a
+// tripped one. A pool whose prober never starts therefore keeps a
+// tripped replica quarantined.
 type Pool struct {
 	shards []*Shard
 	index  *Index
 	pol    Policy
 	met    *Metrics
 
-	// Prober state (probe.go). proberOn switches query admission from
-	// breaker-driven probing (Allow) to prober-driven reintegration
-	// (Closed): while a prober runs, only its pings may take a
-	// half-open breaker's probe slot, so a flapping replica rejoins the
-	// rotation exclusively through health checks. probeMu guards the
-	// start/stop lifecycle; proberOn stays atomic for the admission
-	// fast path.
+	// Prober lifecycle (probe.go), guarded by probeMu; probeDone is
+	// non-nil while a prober runs.
 	probeMu     sync.Mutex
-	proberOn    atomic.Bool
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 }
@@ -273,8 +270,7 @@ func (p *Pool) Scatter(ctx context.Context, req Request) ([]Hit, ShardReport, er
 }
 
 // skipCause summarizes a skipped shard for the report. With a single
-// attempt the cause is that attempt's, verbatim — single-replica pools
-// keep the exact pre-replication vocabulary ("quarantined: circuit
+// attempt the cause is that attempt's, verbatim ("quarantined: circuit
 // breaker open", shard error strings). With several, the summary names
 // the count and quotes the last failure, and the per-replica detail
 // lives in the report's Attempts.
@@ -337,29 +333,17 @@ func (p *Pool) queryShard(ctx context.Context, sh *Shard, req Request) (hits []H
 }
 
 // admitCause decides whether a replica may be queried; a non-empty
-// return is the quarantine cause. With a prober running, admission is
-// a pure read (Closed) — reintegration of a tripped replica belongs to
-// the prober's half-open pings alone, so queries never race it for the
-// probe slot. Without one (single-replica pools by default), queries
-// themselves probe: a breaker past its cooldown admits exactly one
-// query via Allow, preserving the pre-replication behavior.
+// return is the quarantine cause. Admission is a pure read (Closed):
+// reintegration of a tripped replica belongs to the prober's half-open
+// pings alone, so queries never race it for the probe slot.
 func (p *Pool) admitCause(r *Replica) string {
-	if p.proberOn.Load() {
-		if r.brk.Closed() {
-			return ""
-		}
-		if r.brk.Rejecting() {
-			return "quarantined: circuit breaker open"
-		}
-		return "quarantined: awaiting reintegration probe"
+	if r.brk.Closed() {
+		return ""
 	}
 	if r.brk.Rejecting() {
 		return "quarantined: circuit breaker open"
 	}
-	if !r.brk.Allow() {
-		return "quarantined: breaker probe in flight"
-	}
-	return ""
+	return "quarantined: awaiting reintegration probe"
 }
 
 // queryReplica runs the per-replica policy for one query: a hedged

@@ -26,6 +26,15 @@ func scratchWorkload(t *testing.T) ([]*seqio.Batch, [][]uint8, *submat.Matrix, *
 	return batches, queries, mat, submat.NewCodeTables(mat)
 }
 
+// shortDatabase draws count sequences of 25 to 64 residues. The
+// zero-alloc and cross-width invariants depend on lane strides, batch
+// shapes and query lengths, not on Swiss-Prot's long tail, and short
+// lanes keep the modeled sweeps to seconds.
+func shortDatabase(g *seqio.Generator, count int) []seqio.Sequence {
+	g.MeanLen, g.MaxLen = 40, 64
+	return g.Database(count)
+}
+
 func TestAlignBatch8ScratchReuse(t *testing.T) {
 	batches, queries, _, tables := scratchWorkload(t)
 	for _, opt := range []BatchOptions{
@@ -136,7 +145,7 @@ func TestAlignBatch8ScratchZeroAlloc(t *testing.T) {
 	mat := submat.Blosum62()
 	tables := submat.NewCodeTables(mat)
 	g := seqio.NewGenerator(31)
-	db := g.Database(2 * seqio.MaxBatchLanes)
+	db := shortDatabase(g, 2*seqio.MaxBatchLanes)
 	queries := [][]uint8{
 		g.Protein("q0", 200).Encode(mat.Alphabet()),
 		g.Protein("q1", 37).Encode(mat.Alphabet()),
@@ -171,7 +180,7 @@ func TestAlignBatch16ScratchZeroAlloc(t *testing.T) {
 	mat := submat.Blosum62()
 	tables := submat.NewCodeTables(mat)
 	g := seqio.NewGenerator(35)
-	db := g.Database(2 * seqio.MaxBatchLanes)
+	db := shortDatabase(g, 2*seqio.MaxBatchLanes)
 	queries := [][]uint8{
 		g.Protein("q0", 200).Encode(mat.Alphabet()),
 		g.Protein("q1", 37).Encode(mat.Alphabet()),
@@ -207,7 +216,7 @@ func TestScratchAcrossWidths(t *testing.T) {
 	mat := submat.Blosum62()
 	tables := submat.NewCodeTables(mat)
 	g := seqio.NewGenerator(33)
-	db := g.Database(2*seqio.MaxBatchLanes + 17)
+	db := shortDatabase(g, 2*seqio.MaxBatchLanes+17)
 	queries := [][]uint8{
 		g.Protein("q0", 180).Encode(mat.Alphabet()),
 		g.Protein("q1", 41).Encode(mat.Alphabet()),

@@ -107,14 +107,12 @@ type Counters struct {
 	Malformed atomic.Int64
 	Oversized atomic.Int64
 
-	// Shed, BreakerTrips, BreakerRejected, and Degraded count the
-	// server's overload responses: requests dropped at the admission
-	// gate, circuit-breaker opens, requests refused while it was open,
-	// and entries into degraded (reduced-thread) mode.
+	// Shed, BreakerTrips, and BreakerRejected count the server's
+	// overload responses: requests dropped at the admission gate,
+	// circuit-breaker opens, and requests refused while it was open.
 	Shed            atomic.Int64
 	BreakerTrips    atomic.Int64
 	BreakerRejected atomic.Int64
-	Degraded        atomic.Int64
 }
 
 // ObserveQueueDepth raises QueueHighWater to depth if it is a new
@@ -165,7 +163,6 @@ func (c *Counters) Snapshot() Snapshot {
 		Shed:             c.Shed.Load(),
 		BreakerTrips:     c.BreakerTrips.Load(),
 		BreakerRejected:  c.BreakerRejected.Load(),
-		Degraded:         c.Degraded.Load(),
 	}
 }
 
@@ -203,7 +200,6 @@ func (c *Counters) Add(s Snapshot) {
 	c.Shed.Add(s.Shed)
 	c.BreakerTrips.Add(s.BreakerTrips)
 	c.BreakerRejected.Add(s.BreakerRejected)
-	c.Degraded.Add(s.Degraded)
 }
 
 // Snapshot is an immutable copy of Counters. JSON tags match the
@@ -240,7 +236,6 @@ type Snapshot struct {
 	Shed             int64 `json:"shed"`
 	BreakerTrips     int64 `json:"breaker_trips"`
 	BreakerRejected  int64 `json:"breaker_rejected"`
-	Degraded         int64 `json:"degraded"`
 }
 
 // Cells is the total real DP cell count across every stage width.
@@ -274,7 +269,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		"queue high-water %d batches\n"+
 		"stage time       produce %v, 8-bit %v, 16-bit %v, 32-bit %v\n"+
 		"resilience       recovered %d, retried %d, quarantined %d, malformed %d, oversized %d\n"+
-		"overload         shed %d, breaker trips %d / rejected %d, degraded %d\n",
+		"overload         shed %d, breaker trips %d / rejected %d\n",
 		s.Searches, s.Canceled,
 		s.BatchesProduced, s.Batches8, s.Batches16, s.Pairs32,
 		s.Cells8, s.Cells16, s.Cells32, s.Cells(),
@@ -286,7 +281,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		s.ProduceTime().Round(time.Microsecond), s.Stage8Time().Round(time.Microsecond),
 		s.Stage16Time().Round(time.Microsecond), s.Stage32Time().Round(time.Microsecond),
 		s.PanicsRecovered, s.Retries, s.Quarantined, s.Malformed, s.Oversized,
-		s.Shed, s.BreakerTrips, s.BreakerRejected, s.Degraded)
+		s.Shed, s.BreakerTrips, s.BreakerRejected)
 	return err
 }
 

@@ -20,8 +20,11 @@ echo "== test =="
 go test ./...
 
 echo "== vet =="
-# ./... already spans cmd/; the separate cmd pass was redundant.
+# ./... already spans cmd/; the separate cmd pass was redundant. The
+# second pass vets the chaos-only code (failpoint sites and the tests
+# that arm them), which the plain build does not compile.
 go vet ./...
+go vet -tags failpoint ./...
 
 echo "== swlint =="
 # Repo-specific invariant suite (DESIGN.md §11), run twice: the plain
