@@ -241,13 +241,15 @@ func BenchmarkKernelScan16(b *testing.B) {
 
 func BenchmarkKernelStriped16(b *testing.B) {
 	p := newBenchPair(320, 1000)
-	prof := baselines.NewStripedProfile16(p.mat, p.q)
+	opt := core.PairOptions{Gaps: p.gaps, Kernel: core.KernelStriped, Scratch: core.NewScratch()}
 	cells := int64(len(p.q)) * int64(len(p.d))
 	b.SetBytes(cells)
 	mch, tal := vek.NewMachine()
 	for i := 0; i < b.N; i++ {
 		tal.Reset()
-		baselines.Striped16(mch, prof, p.d, p.gaps)
+		if _, _, err := core.AlignPair16(mch, p.q, p.d, p.mat, opt); err != nil {
+			b.Fatal(err)
+		}
 	}
 	reportModel(b, tal, cells, float64(len(p.q))*90/1024)
 }

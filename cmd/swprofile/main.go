@@ -98,12 +98,14 @@ func main() {
 		baselines.Scan16(mch, q, d, mat, gaps)
 		cells, wsKB = int64(*qlen)*int64(*dlen), float64(*qlen)*26/1024
 	case "striped16":
-		prof := baselines.NewStripedProfile16(mat, q)
-		baselines.Striped16(mch, prof, d, gaps)
+		if _, _, err := core.AlignPair16(mch, q, d, mat, core.PairOptions{Gaps: gaps, Kernel: core.KernelStriped}); err != nil {
+			fatal("%v", err)
+		}
 		cells, wsKB = int64(*qlen)*int64(*dlen), float64(*qlen)*90/1024
 	case "striped8":
-		prof := baselines.NewStripedProfile8(mat, q)
-		baselines.Striped8(mch, prof, d, gaps)
+		if _, err := core.AlignPair8(mch, q, d, mat, core.PairOptions{Gaps: gaps, Kernel: core.KernelStriped}); err != nil {
+			fatal("%v", err)
+		}
 		cells, wsKB = int64(*qlen)*int64(*dlen), float64(*qlen)*45/1024
 	default:
 		fatal("unknown kernel %q", *kernel)

@@ -1,10 +1,11 @@
 // Package baselines implements the Smith-Waterman kernels the paper
 // compares against (§IV-H): a scalar golden reference, the Wozniak
-// anti-diagonal kernel ("diag"), the prefix-scan kernel ("scan"), and
-// the Farrar striped kernel ("striped") with its speculative lazy-F
-// correction loop. All vector kernels are built on the same emulated
-// vector machine as the paper's kernel, mirroring Parasail's "modular
-// functions within a unified framework" fairness argument.
+// anti-diagonal kernel ("diag") and the prefix-scan kernel ("scan").
+// Both vector kernels are built on the same emulated vector machine as
+// the paper's kernel, mirroring Parasail's "modular functions within a
+// unified framework" fairness argument. The third Parasail kernel,
+// Farrar's striped one with its speculative lazy-F correction loop, is
+// core's KernelStriped family.
 package baselines
 
 import (

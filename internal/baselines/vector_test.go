@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"swvec/internal/aln"
+	"swvec/internal/core"
 	"swvec/internal/seqio"
 	"swvec/internal/submat"
 	"swvec/internal/vek"
@@ -97,14 +98,40 @@ func TestScan16GapHeavyCorrections(t *testing.T) {
 	}
 }
 
+// stripedPair runs Fig. 14's striped baseline, core's KernelStriped
+// family, at 16x16 (bits 16) or 8x32 (bits 8) on mch.
+func stripedPair(t *testing.T, mch vek.Machine, bits int, q, d []uint8, gaps aln.Gaps) aln.ScoreResult {
+	t.Helper()
+	opt := core.PairOptions{Gaps: gaps, Kernel: core.KernelStriped}
+	var r aln.ScoreResult
+	var err error
+	if bits == 8 {
+		r, err = core.AlignPair8(mch, q, d, b62, opt)
+	} else {
+		r, _, err = core.AlignPair16(mch, q, d, b62, opt)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// lazyFRate is the striped kernel's lazy-F iterations per database
+// column: each iteration issues exactly one movemask.
+func lazyFRate(t *testing.T, bits int, q, d []uint8, gaps aln.Gaps) float64 {
+	t.Helper()
+	mch, tal := vek.NewMachine()
+	stripedPair(t, mch, bits, q, d, gaps)
+	return float64(tal.N256[vek.OpMoveMask]) / float64(len(d))
+}
+
 func TestStriped16MatchesScalar(t *testing.T) {
 	g := seqio.NewGenerator(66)
 	gaps := aln.DefaultGaps()
 	for trial := 0; trial < 30; trial++ {
 		q, d := randomPair(g, 3+trial*9, 5+trial*13)
 		want := ScalarAffine(q, d, b62, gaps)
-		prof := NewStripedProfile16(b62, q)
-		got, _ := Striped16(vek.Bare, prof, d, gaps)
+		got := stripedPair(t, vek.Bare, 16, q, d, gaps)
 		if got.Score != want.Score {
 			t.Fatalf("trial %d (%dx%d): score %d, want %d", trial, len(q), len(d), got.Score, want.Score)
 		}
@@ -119,8 +146,7 @@ func TestStriped16Homologs(t *testing.T) {
 		rel := g.Related(src, "r", 0.18, 0.05)
 		q, d := src.Encode(protAlpha), rel.Encode(protAlpha)
 		want := ScalarAffine(q, d, b62, gaps)
-		prof := NewStripedProfile16(b62, q)
-		got, _ := Striped16(vek.Bare, prof, d, gaps)
+		got := stripedPair(t, vek.Bare, 16, q, d, gaps)
 		if got.Score != want.Score {
 			t.Fatalf("trial %d: score %d, want %d", trial, got.Score, want.Score)
 		}
@@ -132,100 +158,13 @@ func TestStriped16LazyFVariesWithInput(t *testing.T) {
 	// data dependent. A gap-heavy input must trigger more lazy-F
 	// iterations per column than an unrelated random input.
 	g := seqio.NewGenerator(68)
-	src := g.Protein("s", 400)
-	q := src.Encode(protAlpha)
+	q := g.Protein("s", 400).Encode(protAlpha)
 	gaps := aln.Gaps{Open: 3, Extend: 1}
-	prof := NewStripedProfile16(b62, q)
-
 	dGap := append(append([]uint8{}, q[:100]...), q[300:]...)
-	_, gapStats := Striped16(vek.Bare, prof, dGap, gaps)
-
 	dRand := g.Protein("d", len(dGap)).Encode(protAlpha)
-	_, randStats := Striped16(vek.Bare, prof, dRand, gaps)
-
-	gapRate := float64(gapStats.LazyFIterations) / float64(gapStats.Columns)
-	randRate := float64(randStats.LazyFIterations) / float64(randStats.Columns)
+	gapRate, randRate := lazyFRate(t, 16, q, dGap, gaps), lazyFRate(t, 16, q, dRand, gaps)
 	if gapRate <= randRate {
 		t.Errorf("lazy-F rate on homologous input (%.2f) should exceed random (%.2f)", gapRate, randRate)
-	}
-}
-
-func TestAllKernelsAgreeProperty(t *testing.T) {
-	g := seqio.NewGenerator(69)
-	gaps := aln.DefaultGaps()
-	f := func(ql, dl uint8) bool {
-		qlen := 1 + int(ql)%150
-		dlen := 1 + int(dl)%150
-		q, d := randomPair(g, qlen, dlen)
-		want := ScalarAffine(q, d, b62, gaps).Score
-		if Diag16(vek.Bare, q, d, b62, gaps).Score != want {
-			return false
-		}
-		if got, _ := Scan16(vek.Bare, q, d, b62, gaps); got.Score != want {
-			return false
-		}
-		prof := NewStripedProfile16(b62, q)
-		got, _ := Striped16(vek.Bare, prof, d, gaps)
-		return got.Score == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestKernelsEmptyInputs(t *testing.T) {
-	q := enc("ACD")
-	gaps := aln.DefaultGaps()
-	if got := Diag16(vek.Bare, nil, q, b62, gaps); got.Score != 0 {
-		t.Error("diag empty query")
-	}
-	if got, _ := Scan16(vek.Bare, q, nil, b62, gaps); got.Score != 0 {
-		t.Error("scan empty database")
-	}
-	prof := NewStripedProfile16(b62, q)
-	if got, _ := Striped16(vek.Bare, prof, nil, gaps); got.Score != 0 {
-		t.Error("striped empty database")
-	}
-}
-
-func TestStripedProfileLayout(t *testing.T) {
-	q := enc("ACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNP") // 33 residues, segLen 3
-	prof := NewStripedProfile16(b62, q)
-	if prof.SegLen() != 3 {
-		t.Fatalf("segLen = %d, want 3", prof.SegLen())
-	}
-	for c := 0; c < submat.W; c++ {
-		for t2 := 0; t2 < prof.SegLen(); t2++ {
-			v := prof.prof[c*prof.SegLen()+t2]
-			for l := 0; l < lanes16; l++ {
-				pos := t2 + l*prof.SegLen()
-				want := int16(submat.SentinelScore)
-				if pos < len(q) {
-					want = int16(b62.Score(q[pos], uint8(c)))
-				}
-				if v[l] != want {
-					t.Fatalf("profile(%d, %d, lane %d) = %d, want %d", c, t2, l, v[l], want)
-				}
-			}
-		}
-	}
-}
-
-func TestDiagCheaperThanScalarButCostsMoreThanGather(t *testing.T) {
-	// Sanity on the op mix: Parasail-diag spends scalar loads on score
-	// assembly that the paper's kernel replaces with gathers.
-	g := seqio.NewGenerator(70)
-	q, d := randomPair(g, 128, 256)
-	mch, tal := vek.NewMachine()
-	Diag16(mch, q, d, b62, aln.DefaultGaps())
-	if tal.N256[vek.OpGather32] != 0 {
-		t.Error("Parasail-style diag must not use gathers")
-	}
-	if tal.N256[vek.OpScalarLoad] == 0 {
-		t.Error("diag should assemble scores with scalar loads")
-	}
-	if tal.N256[vek.OpReduce] == 0 {
-		t.Error("diag reduces eagerly; expected reduce ops")
 	}
 }
 
@@ -235,8 +174,7 @@ func TestStriped8MatchesScalarUnderSaturation(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q, d := randomPair(g, 3+trial*9, 5+trial*13)
 		want := ScalarAffine(q, d, b62, gaps).Score
-		prof := NewStripedProfile8(b62, q)
-		got, _ := Striped8(vek.Bare, prof, d, gaps)
+		got := stripedPair(t, vek.Bare, 8, q, d, gaps)
 		if want < 127 {
 			if got.Score != want {
 				t.Fatalf("trial %d: score %d, want %d", trial, got.Score, want)
@@ -258,49 +196,67 @@ func TestStriped8SaturatesOnHomologs(t *testing.T) {
 	if ScalarAffine(q, d, b62, aln.DefaultGaps()).Score <= 127 {
 		t.Skip("homolog unexpectedly weak")
 	}
-	prof := NewStripedProfile8(b62, q)
-	got, _ := Striped8(vek.Bare, prof, d, aln.DefaultGaps())
-	if !got.Saturated {
+	if got := stripedPair(t, vek.Bare, 8, q, d, aln.DefaultGaps()); !got.Saturated {
 		t.Fatalf("expected saturation, score %d", got.Score)
 	}
 }
 
 func TestStriped8LazyFDataDependence(t *testing.T) {
 	g := seqio.NewGenerator(73)
-	src := g.Protein("s", 400)
-	q := src.Encode(protAlpha)
+	q := g.Protein("s", 400).Encode(protAlpha)
 	gaps := aln.Gaps{Open: 3, Extend: 1}
-	prof := NewStripedProfile8(b62, q)
 	dGap := append(append([]uint8{}, q[:100]...), q[300:]...)
-	_, gapStats := Striped8(vek.Bare, prof, dGap, gaps)
 	dRand := g.Protein("d", len(dGap)).Encode(protAlpha)
-	_, randStats := Striped8(vek.Bare, prof, dRand, gaps)
-	gapRate := float64(gapStats.LazyFIterations) / float64(gapStats.Columns)
-	randRate := float64(randStats.LazyFIterations) / float64(randStats.Columns)
+	gapRate, randRate := lazyFRate(t, 8, q, dGap, gaps), lazyFRate(t, 8, q, dRand, gaps)
 	if gapRate <= randRate {
 		t.Errorf("lazy-F rate on homologous input (%.2f) should exceed random (%.2f)", gapRate, randRate)
 	}
 }
 
-func TestStripedProfile8Layout(t *testing.T) {
-	q := enc("ACDEFGHIKLMNPQRSTVWYACDEFGHIKLMNPQRSTVWY") // 40 residues, segLen 2
-	prof := NewStripedProfile8(b62, q)
-	if prof.SegLen() != 2 {
-		t.Fatalf("segLen = %d, want 2", prof.SegLen())
-	}
-	for c := 0; c < submat.W; c++ {
-		for t2 := 0; t2 < prof.SegLen(); t2++ {
-			v := prof.prof[c*prof.SegLen()+t2]
-			for l := 0; l < lanes8; l++ {
-				pos := t2 + l*prof.SegLen()
-				want := int8(submat.SentinelScore)
-				if pos < len(q) {
-					want = b62.Score(q[pos], uint8(c))
-				}
-				if v[l] != want {
-					t.Fatalf("profile(%d,%d,lane %d) = %d, want %d", c, t2, l, v[l], want)
-				}
-			}
+func TestAllKernelsAgreeProperty(t *testing.T) {
+	g := seqio.NewGenerator(69)
+	gaps := aln.DefaultGaps()
+	f := func(ql, dl uint8) bool {
+		qlen := 1 + int(ql)%150
+		dlen := 1 + int(dl)%150
+		q, d := randomPair(g, qlen, dlen)
+		want := ScalarAffine(q, d, b62, gaps).Score
+		if Diag16(vek.Bare, q, d, b62, gaps).Score != want {
+			return false
 		}
+		got, _ := Scan16(vek.Bare, q, d, b62, gaps)
+		return got.Score == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestKernelsEmptyInputs(t *testing.T) {
+	q := enc("ACD")
+	gaps := aln.DefaultGaps()
+	if got := Diag16(vek.Bare, nil, q, b62, gaps); got.Score != 0 {
+		t.Error("diag empty query")
+	}
+	if got, _ := Scan16(vek.Bare, q, nil, b62, gaps); got.Score != 0 {
+		t.Error("scan empty database")
+	}
+}
+
+func TestDiagCheaperThanScalarButCostsMoreThanGather(t *testing.T) {
+	// Sanity on the op mix: Parasail-diag spends scalar loads on score
+	// assembly that the paper's kernel replaces with gathers.
+	g := seqio.NewGenerator(70)
+	q, d := randomPair(g, 128, 256)
+	mch, tal := vek.NewMachine()
+	Diag16(mch, q, d, b62, aln.DefaultGaps())
+	if tal.N256[vek.OpGather32] != 0 {
+		t.Error("Parasail-style diag must not use gathers")
+	}
+	if tal.N256[vek.OpScalarLoad] == 0 {
+		t.Error("diag should assemble scores with scalar loads")
+	}
+	if tal.N256[vek.OpReduce] == 0 {
+		t.Error("diag reduces eagerly; expected reduce ops")
 	}
 }

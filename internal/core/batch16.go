@@ -32,7 +32,7 @@ func AlignBatch16(mch vek.Machine, query []uint8, tables *submat.CodeTables, bat
 		if err := checkBatch([][]uint8{query}, batch, &opt); err != nil {
 			return res, err
 		}
-		err := stripedBatch16(mch, query, tables, batch, &opt, &res)
+		err := stripedBatch(mch, query, tables, batch, &opt, 16, &res)
 		return res, err
 	}
 	if batch.Stride() == seqio.MaxBatchLanes {

@@ -83,7 +83,7 @@ func AlignBatch8(mch vek.Machine, query []uint8, tables *submat.CodeTables, batc
 		return out[0], nil
 	}
 	if stripedBatchOK(tables, &opt) {
-		err := stripedBatch8(mch, query, tables, batch, &opt, &res)
+		err := stripedBatch(mch, query, tables, batch, &opt, 8, &res)
 		return res, err
 	}
 	if batch.Stride() == seqio.MaxBatchLanes {
@@ -121,7 +121,7 @@ func AlignBatch8Multi(mch vek.Machine, queries [][]uint8, tables *submat.CodeTab
 		// amortization here is the profile, not the score scratch.
 		out := make([]BatchResult, len(queries))
 		for qi := range queries {
-			if err := stripedBatch8(mch, queries[qi], tables, batch, &opt, &out[qi]); err != nil {
+			if err := stripedBatch(mch, queries[qi], tables, batch, &opt, 8, &out[qi]); err != nil {
 				return nil, err
 			}
 		}

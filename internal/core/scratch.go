@@ -75,6 +75,11 @@ func (s *Scratch) TakeProfileCacheHits() int64 {
 	return n
 }
 
+// LazyFWorstColumn returns the most lazy-F iterations any one column
+// ran in the last 16-bit KernelStriped pair call on this scratch: the
+// worst case of the data-dependent correction work (§IV-H).
+func (s *Scratch) LazyFWorstColumn() int { return s.sp16.lazyFWorst }
+
 // NewScratch returns an empty scratch whose buffers grow on first use
 // and are retained across calls.
 func NewScratch() *Scratch { return &Scratch{} }

@@ -26,11 +26,12 @@ func stripedBatchOK(tables *submat.CodeTables, opt *BatchOptions) bool {
 	return opt.Kernel.Striped() && !opt.Gaps.IsLinear() && !opt.EagerMax && tables.Matrix() != nil
 }
 
-// stripedBatch8 runs the 8-bit striped family over every lane of the
-// batch.
+// stripedBatch runs the striped family over every lane of the batch at
+// the given element width: 8 bits for the search stage, 16 for the
+// rescue tier.
 //
 //sw:hotpath
-func stripedBatch8(mch vek.Machine, query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *BatchOptions, res *BatchResult) error {
+func stripedBatch(mch vek.Machine, query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *BatchOptions, bits int, res *BatchResult) error {
 	mat := tables.Matrix()
 	s := batchScratchOrLocal(opt)
 	popt := PairOptions{Gaps: opt.Gaps, Scratch: s, Backend: opt.Backend, Kernel: opt.Kernel}
@@ -47,44 +48,14 @@ func stripedBatch8(mch vek.Machine, query []uint8, tables *submat.CodeTables, ba
 		}
 		var r aln.ScoreResult
 		var err error
-		if wide {
+		switch {
+		case bits == 8 && wide:
 			r, err = AlignPair8W(mch, query, seq[:n], mat, popt)
-		} else {
+		case bits == 8:
 			r, err = AlignPair8(mch, query, seq[:n], mat, popt)
-		}
-		if err != nil {
-			return err
-		}
-		res.Scores[lane] = r.Score
-		res.Saturated[lane] = r.Saturated
-	}
-	return nil
-}
-
-// stripedBatch16 is stripedBatch8 at 16-bit precision (the rescue
-// tier).
-//
-//sw:hotpath
-func stripedBatch16(mch vek.Machine, query []uint8, tables *submat.CodeTables, batch *seqio.Batch, opt *BatchOptions, res *BatchResult) error {
-	mat := tables.Matrix()
-	s := batchScratchOrLocal(opt)
-	popt := PairOptions{Gaps: opt.Gaps, Scratch: s, Backend: opt.Backend, Kernel: opt.Kernel}
-	stride := batch.Stride()
-	wide := stride == seqio.MaxBatchLanes
-	seq := growE(&s.laneSeq, batch.MaxLen)
-	for lane := 0; lane < batch.Count; lane++ {
-		n := batch.Lens[lane]
-		if n == 0 {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			seq[j] = batch.T[j*stride+lane]
-		}
-		var r aln.ScoreResult
-		var err error
-		if wide {
+		case wide:
 			r, err = AlignPair16W(mch, query, seq[:n], mat, popt)
-		} else {
+		default:
 			r, _, err = AlignPair16(mch, query, seq[:n], mat, popt)
 		}
 		if err != nil {

@@ -56,6 +56,9 @@ type stripedState[E vek.Elem] struct {
 	// hStore/hLoad/eRow are the column state, flattened stripe-major
 	// with the engine's lane stride (segLen*lanes entries).
 	hStore, hLoad, eRow []E
+	// lazyFWorst is the most lazy-F iterations any one column of the
+	// last KernelStriped call ran (0 after a KernelLazyF call).
+	lazyFWorst int
 }
 
 // stripedState8 returns the scratch's 8-bit striped state, or a
@@ -142,6 +145,7 @@ func alignStriped[V any, E vek.Elem, En vek.Engine[V, E]](eng En, mch vek.Machin
 	negV := eng.Splat(mch, neg)
 	vMax := eng.Zero(mch)
 	decon := opt.Kernel == KernelLazyF
+	st.lazyFWorst = 0
 
 	for j := 0; j < len(dseq); j++ {
 		profRow := prof[int(dseq[j])*rows : (int(dseq[j])+1)*rows]
@@ -168,7 +172,11 @@ func alignStriped[V any, E vek.Elem, En vek.Engine[V, E]](eng En, mch vek.Machin
 		if decon {
 			vMax = stripedScanCorrect(eng, mch, hStore, eRow, segLen, lanes, vF, vMax, openV, extV, zeroV, opt.Gaps)
 		} else {
-			vMax = stripedLazyCorrect(eng, mch, hStore, eRow, segLen, lanes, vF, vMax, openV, extV)
+			var iters int
+			vMax, iters = stripedLazyCorrect(eng, mch, hStore, eRow, segLen, lanes, vF, vMax, openV, extV)
+			if iters > st.lazyFWorst {
+				st.lazyFWorst = iters
+			}
 		}
 	}
 	best := int32(eng.ReduceMax(mch, vMax))
@@ -189,10 +197,11 @@ func alignStriped[V any, E vek.Elem, En vek.Engine[V, E]](eng En, mch vek.Machin
 // H-open), keeping the next column's E inputs exact even when a
 // deletion-adjacent insertion is optimal (tiny gap-open penalties);
 // unraised cells make that a no-op because the speculative pass
-// already stored E >= H-open.
+// already stored E >= H-open. It also returns its inner iteration
+// count, one movemask each: the data-dependent work of §IV-H.
 //
 //sw:hotpath
-func stripedLazyCorrect[V any, E vek.Elem, En vek.Engine[V, E]](eng En, mch vek.Machine, hStore, eRow []E, segLen, lanes int, vF, vMax, openV, extV V) V {
+func stripedLazyCorrect[V any, E vek.Elem, En vek.Engine[V, E]](eng En, mch vek.Machine, hStore, eRow []E, segLen, lanes int, vF, vMax, openV, extV V) (V, int) {
 	neg := eng.NegInf()
 	for k := 0; k < lanes; k++ {
 		vF = eng.ShiftIn(mch, vF, 1, neg)
@@ -207,11 +216,11 @@ func stripedLazyCorrect[V any, E vek.Elem, En vek.Engine[V, E]](eng En, mch vek.
 			eng.Store(mch, eRow[off:], vE)
 			vF = eng.SubSat(mch, vF, extV)
 			if eng.MoveMask(mch, eng.CmpGt(mch, vF, vHGap)) == 0 {
-				return vMax
+				return vMax, k*segLen + t + 1
 			}
 		}
 	}
-	return vMax
+	return vMax, lanes * segLen
 }
 
 // stripedScanCorrect is Snytsar's deconstructed lazy-F: the incoming F

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"swvec/internal/baselines"
+	"swvec/internal/core"
 	"swvec/internal/isa"
 	"swvec/internal/seqio"
 	"swvec/internal/stats"
@@ -27,7 +28,8 @@ func (h Headline) String() string {
 // diag, scan and striped kernels, per architecture and query size,
 // modeled GCUPS at one thread. The expected shape: ours fastest
 // everywhere, striped the best Parasail kernel, diag the slowest
-// (headline: 3.9x / 1.9x / 1.5x vs diag / scan / striped).
+// (headline: 3.9x / 1.9x / 1.5x vs diag / scan / striped). Diag and
+// scan come from internal/baselines; striped is core's KernelStriped.
 func Fig14VsParasail(cfg Config) (*stats.Table, Headline) {
 	w := newWorkload(cfg)
 	t := &stats.Table{
@@ -51,12 +53,16 @@ func Fig14VsParasail(cfg Config) (*stats.Table, Headline) {
 		mchD, talD := vek.NewMachine()
 		mchS, talS := vek.NewMachine()
 		mchT, talT := vek.NewMachine()
-		prof := baselines.NewStripedProfile16(w.mat, q)
+		// One scratch per query: core's striped kernel builds the
+		// striped profile once and serves every sequence from its cache.
+		striped := core.PairOptions{Gaps: w.gaps, Kernel: core.KernelStriped, Scratch: core.NewScratch()}
 		for i := range w.db {
 			d := w.db[i].Encode(w.mat.Alphabet())
 			baselines.Diag16(mchD, q, d, w.mat, w.gaps)
 			baselines.Scan16(mchS, q, d, w.mat, w.gaps)
-			baselines.Striped16(mchT, prof, d, w.gaps)
+			if _, _, err := core.AlignPair16(mchT, q, d, w.mat, striped); err != nil {
+				panic(err)
+			}
 		}
 		m.diag, m.scan, m.striped = talD, talS, talT
 		measures[qi] = m
@@ -94,7 +100,8 @@ func Fig14VsParasail(cfg Config) (*stats.Table, Headline) {
 
 // Determinism reproduces the §IV-H robustness argument: the wavefront
 // kernel's work is a pure function of the input sizes, while striped's
-// lazy-F loop and scan's correction pass vary with the data.
+// lazy-F loop (core's KernelStriped at 16x16 and 8x32) and scan's
+// correction pass vary with the data.
 func Determinism(cfg Config) *stats.Table {
 	w := newWorkload(cfg)
 	t := &stats.Table{
@@ -103,8 +110,6 @@ func Determinism(cfg Config) *stats.Table {
 		Note:    "ours (wavefront) runs zero correction loops on every input; speculative kernels vary",
 	}
 	q := w.encQ[len(w.encQ)/2]
-	prof := baselines.NewStripedProfile16(w.mat, q)
-	prof8 := baselines.NewStripedProfile8(w.mat, q)
 
 	inputs := []struct {
 		name string
@@ -118,25 +123,27 @@ func Determinism(cfg Config) *stats.Table {
 		if len(in.d) == 0 {
 			continue
 		}
-		_, sStats := baselines.Striped16(vek.Bare, prof, in.d, w.gaps)
-		_, s8Stats := baselines.Striped8(vek.Bare, prof8, in.d, w.gaps)
+		// Every inner lazy-F iteration of a KernelStriped call issues
+		// exactly one movemask, and nothing else in the call issues one,
+		// so the tally's movemask count is the iteration count.
+		s := core.NewScratch()
+		opt := core.PairOptions{Gaps: w.gaps, Kernel: core.KernelStriped, Scratch: s}
+		mch16, tal16 := vek.NewMachine()
+		if _, _, err := core.AlignPair16(mch16, q, in.d, w.mat, opt); err != nil {
+			panic(err)
+		}
+		mch8, tal8 := vek.NewMachine()
+		if _, err := core.AlignPair8(mch8, q, in.d, w.mat, opt); err != nil {
+			panic(err)
+		}
 		_, cStats := baselines.Scan16(vek.Bare, q, in.d, w.mat, w.gaps)
-		lazyRate := float64(sStats.LazyFIterations) / float64(maxInt(sStats.Columns, 1))
-		lazy8Rate := float64(s8Stats.LazyFIterations) / float64(maxInt(s8Stats.Columns, 1))
-		corrRate := float64(cStats.Corrections) / float64(maxInt(cStats.Columns, 1))
+		cols := float64(len(in.d))
 		t.AddRow(in.name,
-			fmt.Sprintf("%.2f", lazyRate),
-			sStats.MaxLazyFPerColumn,
-			fmt.Sprintf("%.2f", lazy8Rate),
-			fmt.Sprintf("%.2f", corrRate),
+			fmt.Sprintf("%.2f", float64(tal16.N256[vek.OpMoveMask])/cols),
+			s.LazyFWorstColumn(),
+			fmt.Sprintf("%.2f", float64(tal8.N256[vek.OpMoveMask])/cols),
+			fmt.Sprintf("%.2f", float64(cStats.Corrections)/float64(max(cStats.Columns, 1))),
 			"0 (deterministic)")
 	}
 	return t
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

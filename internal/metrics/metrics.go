@@ -57,21 +57,6 @@ type Counters struct {
 	Saturated8  atomic.Int64
 	Saturated16 atomic.Int64
 
-	// BatchesDiagonal/BatchesStriped/BatchesLazyF split the modeled
-	// backend's Batches8 plus Batches16 (8-bit batches and 16-bit
-	// rescues; 32-bit escalations are diagonal pairs and excluded) by
-	// kernel family, so on a modeled search the three sum to
-	// Batches8+Batches16, and the CellsKernel* counters split the real
-	// DP cells the same way — the kernel choice made observable through
-	// Result.Stats and /debug/vars. A kernel family is a modeled-backend
-	// choice, so native work is counted in none of them.
-	BatchesDiagonal atomic.Int64
-	BatchesStriped  atomic.Int64
-	BatchesLazyF    atomic.Int64
-	CellsDiagonal   atomic.Int64
-	CellsStriped    atomic.Int64
-	CellsLazyF      atomic.Int64
-
 	// ProfileCacheHits counts modeled pair alignments that reused a
 	// cached 8-bit or striped query profile from the worker's scratch
 	// instead of rebuilding it (the native kernel builds no profile).
@@ -143,12 +128,6 @@ func (c *Counters) Snapshot() Snapshot {
 		Cells32:          c.Cells32.Load(),
 		Saturated8:       c.Saturated8.Load(),
 		Saturated16:      c.Saturated16.Load(),
-		BatchesDiagonal:  c.BatchesDiagonal.Load(),
-		BatchesStriped:   c.BatchesStriped.Load(),
-		BatchesLazyF:     c.BatchesLazyF.Load(),
-		CellsDiagonal:    c.CellsDiagonal.Load(),
-		CellsStriped:     c.CellsStriped.Load(),
-		CellsLazyF:       c.CellsLazyF.Load(),
 		ProfileCacheHits: c.ProfileCacheHits.Load(),
 		QueueHighWater:   c.QueueHighWater.Load(),
 		ProduceNanos:     c.ProduceNanos.Load(),
@@ -180,12 +159,6 @@ func (c *Counters) Add(s Snapshot) {
 	c.Cells32.Add(s.Cells32)
 	c.Saturated8.Add(s.Saturated8)
 	c.Saturated16.Add(s.Saturated16)
-	c.BatchesDiagonal.Add(s.BatchesDiagonal)
-	c.BatchesStriped.Add(s.BatchesStriped)
-	c.BatchesLazyF.Add(s.BatchesLazyF)
-	c.CellsDiagonal.Add(s.CellsDiagonal)
-	c.CellsStriped.Add(s.CellsStriped)
-	c.CellsLazyF.Add(s.CellsLazyF)
 	c.ProfileCacheHits.Add(s.ProfileCacheHits)
 	c.ObserveQueueDepth(int(s.QueueHighWater))
 	c.ProduceNanos.Add(s.ProduceNanos)
@@ -216,12 +189,6 @@ type Snapshot struct {
 	Cells32          int64 `json:"cells_32"`
 	Saturated8       int64 `json:"saturated_8"`
 	Saturated16      int64 `json:"saturated_16"`
-	BatchesDiagonal  int64 `json:"batches_kernel_diagonal"`
-	BatchesStriped   int64 `json:"batches_kernel_striped"`
-	BatchesLazyF     int64 `json:"batches_kernel_lazyf"`
-	CellsDiagonal    int64 `json:"cells_kernel_diagonal"`
-	CellsStriped     int64 `json:"cells_kernel_striped"`
-	CellsLazyF       int64 `json:"cells_kernel_lazyf"`
 	ProfileCacheHits int64 `json:"profile_cache_hits"`
 	QueueHighWater   int64 `json:"queue_high_water"`
 	ProduceNanos     int64 `json:"produce_nanos"`
@@ -263,8 +230,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		"batches          produced %d, aligned8 %d, rescue16 %d, pairs32 %d\n"+
 		"cells            8-bit %d, 16-bit %d, 32-bit %d (total %d)\n"+
 		"saturated lanes  8-bit %d, 16-bit %d\n"+
-		"kernel batches   diagonal %d, striped %d, lazyf %d\n"+
-		"kernel cells     diagonal %d, striped %d, lazyf %d\n"+
 		"profile cache    %d hits\n"+
 		"queue high-water %d batches\n"+
 		"stage time       produce %v, 8-bit %v, 16-bit %v, 32-bit %v\n"+
@@ -274,8 +239,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		s.BatchesProduced, s.Batches8, s.Batches16, s.Pairs32,
 		s.Cells8, s.Cells16, s.Cells32, s.Cells(),
 		s.Saturated8, s.Saturated16,
-		s.BatchesDiagonal, s.BatchesStriped, s.BatchesLazyF,
-		s.CellsDiagonal, s.CellsStriped, s.CellsLazyF,
 		s.ProfileCacheHits,
 		s.QueueHighWater,
 		s.ProduceTime().Round(time.Microsecond), s.Stage8Time().Round(time.Microsecond),

@@ -52,8 +52,6 @@ type Options struct {
 	Gaps aln.Gaps
 	// Threads is the worker count; 0 uses GOMAXPROCS.
 	Threads int
-	// BlockCols is passed to the batch engine (0 = unblocked).
-	BlockCols int
 	// SortByLength batches similar-length sequences together.
 	SortByLength bool
 	// Instrument merges per-worker operation tallies into the result
@@ -512,7 +510,6 @@ func (p *pipeline) run8(mch vek.Machine, s *core.Scratch, b *seqio.Batch, enc []
 	}
 	p.met.Batches8.Add(1)
 	p.met.Cells8.Add(cells)
-	tallyKernel(p.met, p.kern, 1, cells)
 	p.met.Stage8Nanos.Add(int64(time.Since(start)))
 	for qi, q := range p.queries {
 		br := r.of(qi)
@@ -559,7 +556,7 @@ func (p *pipeline) try8(j job) (r results8, err error) {
 	if err = failpoint.Inject("sched/align8"); err != nil {
 		return r, err
 	}
-	opt := core.BatchOptions{Gaps: p.opt.Gaps, BlockCols: p.opt.BlockCols, Scratch: j.s, Backend: p.opt.backend(), Kernel: p.kern}
+	opt := core.BatchOptions{Gaps: p.opt.Gaps, Scratch: j.s, Backend: p.opt.backend(), Kernel: p.kern}
 	if len(p.queries) == 1 {
 		r.one, err = core.AlignBatch8(j.mch, p.queries[0], p.tables, j.b, opt)
 		return r, err
@@ -600,7 +597,6 @@ func (st *stages) rescue(mch vek.Machine, s *core.Scratch, q []uint8, si int, en
 	}
 	st.met.Batches16.Add(1)
 	st.met.Cells16.Add(cells)
-	tallyKernel(st.met, st.kern, 1, cells)
 	st.met.Stage16Nanos.Add(int64(time.Since(start)))
 	if !r16.Saturated {
 		return r16.Score, true, enc
@@ -617,10 +613,6 @@ func (st *stages) rescue(mch vek.Machine, s *core.Scratch, q []uint8, si int, en
 	}
 	st.met.Pairs32.Add(1)
 	st.met.Cells32.Add(cells)
-	// Escalation pairs always run the diagonal kernel (score + position
-	// exactness matters more than throughput at this tier), so their
-	// cells count against the diagonal family regardless of the plan.
-	tallyKernel(st.met, core.KernelDiagonal, 0, cells)
 	st.met.Stage32Nanos.Add(int64(time.Since(start)))
 	return r32.Score, true, enc
 }
@@ -672,25 +664,6 @@ func retry[R any](st *stages, try func(job) (R, error), j job) (R, error) {
 		r, err = try(j)
 	}
 	return r, err
-}
-
-// tallyKernel adds batch and cell counts to the per-kernel-family
-// counters. Passing batches=0 attributes cells without counting a
-// batch, as the 32-bit escalations do. The families are modeled-backend
-// kernels, so native work (kern == KernelAuto) is not counted.
-func tallyKernel(met *metrics.Counters, kern core.Kernel, batches, cells int64) {
-	switch kern {
-	case core.KernelAuto: // the native backend: no family ran
-	case core.KernelStriped:
-		met.BatchesStriped.Add(batches)
-		met.CellsStriped.Add(cells)
-	case core.KernelLazyF:
-		met.BatchesLazyF.Add(batches)
-		met.CellsLazyF.Add(cells)
-	default:
-		met.BatchesDiagonal.Add(batches)
-		met.CellsDiagonal.Add(cells)
-	}
 }
 
 // scratchPool recycles worker scratch arenas across searches, so a

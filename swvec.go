@@ -5,10 +5,11 @@
 // mirrors AVX2/AVX-512, implementing the paper's wavefront kernel with
 // diagonal memory indexing, the reorganized substitution matrix with
 // gather and query-profile scoring, an interleaved 32-sequence batch
-// engine, variable 8/16-bit width, optional traceback, and the
-// Parasail-style diag/scan/striped comparison kernels. Score-only
-// alignments and searches run by default on the native backend
-// instead: one exact 32-bit pair kernel in plain Go (see WithBackend).
+// engine, variable 8/16-bit width, optional traceback, Farrar's
+// striped kernel family, and the Parasail-style diag/scan comparison
+// kernels. Score-only alignments and searches run by default on the
+// native backend instead: one exact 32-bit pair kernel in plain Go (see
+// WithBackend).
 //
 // Quick start:
 //
@@ -173,7 +174,6 @@ type Aligner struct {
 	mat     *submat.Matrix
 	gaps    Gaps
 	threads int
-	block   int
 	sortLen bool
 	width   int
 	backend Backend
@@ -219,18 +219,6 @@ func WithThreads(n int) Option {
 			return fmt.Errorf("swvec: negative thread count %d", n)
 		}
 		a.threads = n
-		return nil
-	}
-}
-
-// WithBatchBlock sets the batch engine's column block size (the cache
-// tuning knob; 0 = unblocked).
-func WithBatchBlock(cols int) Option {
-	return func(a *Aligner) error {
-		if cols < 0 {
-			return fmt.Errorf("swvec: negative block size %d", cols)
-		}
-		a.block = cols
 		return nil
 	}
 }
@@ -432,7 +420,6 @@ func (a *Aligner) schedOptions() sched.Options {
 	return sched.Options{
 		Gaps:         a.gaps,
 		Threads:      a.threads,
-		BlockCols:    a.block,
 		SortByLength: a.sortLen,
 		Width:        a.width,
 		Backend:      a.backend,

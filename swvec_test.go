@@ -46,9 +46,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := New(WithThreads(-1)); err == nil {
 		t.Error("negative threads accepted")
 	}
-	if _, err := New(WithBatchBlock(-5)); err == nil {
-		t.Error("negative block accepted")
-	}
 }
 
 func TestScoreRejectsInvalidResidues(t *testing.T) {
