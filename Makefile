@@ -42,9 +42,13 @@ race:
 
 # Chaos pass: the failpoint build compiles in the fault-injection
 # sites, and the chaos suites force kernel panics, transient faults,
-# and breaker trips under the race detector (DESIGN.md §12).
+# and breaker trips under the race detector (DESIGN.md §12). The
+# router's connection-pool tests (reuse, stale redial, cut exchanges,
+# teardown) then run three more times, since their races are timing
+# races.
 chaos:
 	$(GO) test -race -short -tags failpoint ./...
+	$(GO) test -race -tags failpoint -count=3 -run 'TestPool' ./internal/cluster
 
 # Cluster chaos gate: real swserver shard processes behind swrouter,
 # concurrent queries, one process SIGKILLed mid-search. At replicas=1

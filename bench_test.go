@@ -580,6 +580,7 @@ func BenchmarkSearchScatter(b *testing.B) {
 				BreakerFailures: 3,
 				BreakerCooldown: 100 * time.Millisecond,
 			})
+			b.Cleanup(pool.Close)
 			req := cluster.Request{ID: "bench", Residues: string(query), Top: topK}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -157,7 +157,7 @@ func clusterE2ESingle(t *testing.T, bin string) {
 	}
 	pool := cluster.NewPool(addrs, cluster.NewIndex(db), pol)
 	pool.StartProber()
-	defer pool.StopProber()
+	defer pool.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -340,7 +340,7 @@ func clusterE2EReplicated(t *testing.T, bin string) {
 	}
 	pool := cluster.NewReplicatedPool(groups, cluster.NewIndex(db), pol)
 	pool.StartProber()
-	defer pool.StopProber()
+	defer pool.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -207,7 +207,6 @@ func runRouter(s routerSetup) {
 
 	pool := cluster.NewReplicatedPool(groups, cluster.NewIndex(db), s.pol)
 	pool.StartProber()
-	defer pool.StopProber()
 	if s.admin != "" {
 		// The per-shard and per-replica routing counters and the shard
 		// map join /debug/vars, and /debug/cluster serves the same
@@ -234,6 +233,9 @@ func runRouter(s routerSetup) {
 	log.Printf("level=info event=listen addr=%s shards=%d replicas=%d db_seqs=%d hedge_after=%s retries=%d",
 		ln.Addr(), nshards, s.replicas, len(db), s.pol.HedgeAfter, s.pol.Retries)
 	rt.Run()
+	// Hang up the idle shard connections before the spawned shards are
+	// stopped.
+	pool.Close()
 	for _, p := range procs {
 		if err := p.Stop(); err != nil {
 			log.Printf("level=warn event=shard_stop shard=%d err=%q", p.Shard, err)

@@ -158,6 +158,7 @@ func startTestRouter(t *testing.T, db []swvec.Sequence, addrs []string, pol clus
 		t.Fatal(err)
 	}
 	pool := cluster.NewPool(addrs, cluster.NewIndex(db), pol)
+	t.Cleanup(pool.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +182,7 @@ func startTestRouterGroups(t *testing.T, db []swvec.Sequence, groups [][]string,
 		t.Fatal(err)
 	}
 	pool := cluster.NewReplicatedPool(groups, cluster.NewIndex(db), pol)
+	t.Cleanup(pool.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -631,6 +633,7 @@ func TestRouterGracefulShutdown(t *testing.T) {
 	pol := testPolicy()
 	pol.Timeout = 2 * stall // only the shutdown can end the scatter early
 	pool := cluster.NewPool([]string{slow.Addr()}, cluster.NewIndex(testDB()), pol)
+	t.Cleanup(pool.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

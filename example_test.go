@@ -25,7 +25,8 @@ func ExampleAligner_Align() {
 	// Output: 6M1I11M
 }
 
-// ExampleAligner_Score shows the adaptive 8/16-bit scorer.
+// ExampleAligner_Score shows the score-only call: on the default
+// native backend, one exact 32-bit pass with no traceback.
 func ExampleAligner_Score() {
 	al, err := swvec.New()
 	if err != nil {

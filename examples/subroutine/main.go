@@ -46,10 +46,11 @@ func main() {
 		}
 	}
 
-	// The adaptive scorer is what a mapper's filter stage would call.
+	// The score-only call is what a mapper's filter stage would make:
+	// one exact 32-bit pass on the native backend, no traceback.
 	sc, err := al.Score(reads[0], refs[0].Residues)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nfilter-stage score (8-bit kernel, no traceback): %d\n", sc)
+	fmt.Printf("\nfilter-stage score (exact 32-bit pass, no traceback): %d\n", sc)
 }

@@ -61,8 +61,8 @@ type ScoreResult struct {
 	// optimal cell (first such cell in row-major order), or -1 when
 	// Score == 0.
 	EndQ, EndD int
-	// Saturated reports that an 8-bit kernel hit its ceiling and the
-	// score is a lower bound; callers rerun at 16 bits.
+	// Saturated reports that an 8- or 16-bit kernel hit its ceiling and
+	// the score is a lower bound; callers rerun at a wider width.
 	Saturated bool
 }
 

@@ -116,7 +116,9 @@ func (p *Pool) probeReplica(ctx context.Context, r *Replica) {
 
 // ping performs one TypePing round-trip against a replica: dial, send,
 // check the echoed ID. Any error — dial refused, deadline, a response
-// carrying an error — counts as a failed probe.
+// carrying an error — counts as a failed probe. It always dials fresh,
+// never through the query connections: a ping checks that the replica
+// still accepts connections.
 func (p *Pool) ping(ctx context.Context, r *Replica) error {
 	if err := failpoint.Inject("cluster/probe"); err != nil {
 		return err

@@ -134,7 +134,7 @@ func TestProberReintegratesFlappingReplica(t *testing.T) {
 	}
 	pool := NewReplicatedPool([][]string{{primary.Addr(), sibling.Addr()}}, NewIndex(db), pol)
 	pool.StartProber()
-	defer pool.StopProber()
+	defer pool.Close()
 
 	req := Request{ID: "q", Residues: "ACDEFGHIKL", Top: 1}
 	scatter := func() ShardReport {
@@ -254,7 +254,7 @@ func TestQueriesNeverReintegrateReplica(t *testing.T) {
 	}
 
 	pool.StartProber()
-	defer pool.StopProber()
+	defer pool.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		rep := scatter()

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -73,6 +74,12 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
+// maxIdleConns bounds each replica's stack of idle connections. Every
+// held connection occupies one of the shard's -max-conns slots (256 by
+// default), so the bound stays far below that; a burst past it dials
+// extra connections and closes them when their exchange ends.
+const maxIdleConns = 8
+
 // Replica is one process serving a shard's slice. Every replica of a
 // shard loads the identical consistent-hash slice, so their answers
 // are interchangeable — which is what makes failover and cross-replica
@@ -86,6 +93,58 @@ type Replica struct {
 	Rank int
 	Addr string
 	brk  *Breaker
+
+	// idle is the stack of connections parked after a clean exchange,
+	// the most recently used on top; closed stops parking (Pool.Close).
+	mu     sync.Mutex
+	idle   []*wireConn
+	closed bool
+}
+
+// wireConn is one query connection to a replica and the reader its
+// replies arrive through. It carries one exchange at a time.
+type wireConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+// takeIdle pops the most recently parked connection, or returns nil.
+func (r *Replica) takeIdle() *wireConn {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.idle)
+	if n == 0 {
+		return nil
+	}
+	c := r.idle[n-1]
+	r.idle[n-1] = nil
+	r.idle = r.idle[:n-1]
+	return c
+}
+
+// park pushes c onto the idle stack, or closes it when the stack is
+// full or the pool is closed.
+func (r *Replica) park(c *wireConn) {
+	r.mu.Lock()
+	if !r.closed && len(r.idle) < maxIdleConns {
+		r.idle = append(r.idle, c)
+		c = nil
+	}
+	r.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// closeIdle closes every parked connection and parks no more.
+func (r *Replica) closeIdle() {
+	r.mu.Lock()
+	idle := r.idle
+	r.idle, r.closed = nil, true
+	r.mu.Unlock()
+	for _, c := range idle {
+		c.Close()
+	}
 }
 
 // Shard is one scatter target: the ordered replica set serving one
@@ -103,6 +162,9 @@ type Shard struct {
 // breaker, and only the health prober's pings (StartProber) close a
 // tripped one. A pool whose prober never starts therefore keeps a
 // tripped replica quarantined.
+//
+// Queries reuse connections: each replica keeps up to maxIdleConns
+// idle ones, each carrying one exchange at a time. Close releases them.
 type Pool struct {
 	shards []*Shard
 	index  *Index
@@ -153,6 +215,18 @@ func NewReplicatedPool(groups [][]string, index *Index, pol Policy) *Pool {
 		p.shards = append(p.shards, sh)
 	}
 	return p
+}
+
+// Close tears the pool down: it stops the prober and closes every idle
+// connection. Scatters still in flight finish, but their connections
+// close instead of parking.
+func (p *Pool) Close() {
+	p.StopProber()
+	for _, sh := range p.shards {
+		for _, r := range sh.Replicas {
+			r.closeIdle()
+		}
+	}
 }
 
 // Metrics returns the pool's counter block (live; publish it for
@@ -471,32 +545,43 @@ func (p *Pool) hedgeTarget(sh *Shard, cur *Replica) *Replica {
 	return cur
 }
 
-// query performs one wire request against a replica: dial, send the
-// JSON line, read the JSON answer. The context bounds everything —
+// query performs one wire request against a replica: send the JSON
+// line over an idle connection, or a fresh one when none is parked,
+// and read the one-line answer. The context bounds everything —
 // cancellation closes the connection so a blocked read returns
 // immediately and no goroutine outlives the scatter by more than a
 // connection teardown.
+//
+// A parked connection may have been closed by the shard since (its
+// idle timeout, a restart). Such a connection fails before any reply
+// byte arrives, and query then redials once; the redial is not a
+// retry, an error, or a failure of any other kind. Every other failure
+// is the attempt's.
 func (p *Pool) query(ctx context.Context, r *Replica, req Request) ([]Hit, error) {
 	if err := failpoint.Inject("cluster/shard"); err != nil {
 		return nil, err
 	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", r.Addr)
+	line, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("shard %d: dial: %w", r.Shard, err)
-	}
-	defer conn.Close()
-	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	defer stop()
-	if dl, ok := ctx.Deadline(); ok {
-		conn.SetDeadline(dl)
-	}
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
 		return nil, fmt.Errorf("shard %d: send: %w", r.Shard, err)
 	}
+	line = append(line, '\n')
 	var resp Response
-	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("shard %d: recv: %w", r.Shard, err)
+	var unanswered bool
+	c := r.takeIdle()
+	if c != nil {
+		resp, unanswered, err = r.exchange(ctx, c, line, req.ID)
+	}
+	if c == nil || unanswered {
+		var d net.Dialer
+		conn, derr := d.DialContext(ctx, "tcp", r.Addr)
+		if derr != nil {
+			return nil, fmt.Errorf("shard %d: dial: %w", r.Shard, derr)
+		}
+		resp, _, err = r.exchange(ctx, &wireConn{Conn: conn, br: bufio.NewReader(conn)}, line, req.ID)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if resp.Error != "" {
 		return nil, &ShardError{Shard: r.Shard, Code: resp.Code, Msg: resp.Error}
@@ -505,6 +590,33 @@ func (p *Pool) query(ctx context.Context, r *Replica, req Request) ([]Hit, error
 		return nil, fmt.Errorf("shard %d: response for %q, want %q", r.Shard, resp.ID, req.ID)
 	}
 	return resp.Hits, nil
+}
+
+// exchange writes one request line on c and reads one reply line. It
+// parks c again only after a complete exchange whose reply carries id
+// and that the context's cancellation hook did not cut; any other
+// outcome closes c. unanswered reports that the exchange failed before
+// any reply byte arrived, for a reason other than the context — on a
+// parked connection, the mark of one the shard has closed.
+func (r *Replica) exchange(ctx context.Context, c *wireConn, line []byte, id string) (resp Response, unanswered bool, err error) {
+	stop := context.AfterFunc(ctx, func() { c.Close() })
+	dl, _ := ctx.Deadline()
+	c.SetDeadline(dl)
+	var reply []byte
+	if _, err = c.Write(line); err != nil {
+		err = fmt.Errorf("shard %d: send: %w", r.Shard, err)
+	} else if reply, err = c.br.ReadBytes('\n'); err != nil {
+		err = fmt.Errorf("shard %d: recv: %w", r.Shard, err)
+	} else if err = json.Unmarshal(reply, &resp); err != nil {
+		err = fmt.Errorf("shard %d: recv: %w", r.Shard, err)
+	}
+	if stop() && err == nil && resp.ID == id {
+		r.park(c)
+	} else {
+		c.Close()
+	}
+	unanswered = err != nil && len(reply) == 0 && ctx.Err() == nil && !errors.Is(err, os.ErrDeadlineExceeded)
+	return resp, unanswered, err
 }
 
 // ShardError is a structured per-request error a shard answered with.

@@ -1,6 +1,8 @@
 package seqio
 
 import (
+	"slices"
+
 	"swvec/internal/alphabet"
 )
 
@@ -81,12 +83,16 @@ type BatchOptions struct {
 // BuildBatches reorganizes the entire database into transposed batches
 // eagerly. It is the materialized form of BatchStream, kept for tests,
 // tools, and workloads small enough to hold every batch at once; the
-// search pipeline streams instead.
+// search pipeline streams instead. Its batches are BatchStream's, in
+// ascending length order when sorted.
 func BuildBatches(seqs []Sequence, alpha *alphabet.Alphabet, opts BatchOptions) []*Batch {
 	s := NewBatchStream(seqs, alpha, opts)
 	var batches []*Batch
 	for b := s.Next(); b != nil; b = s.Next() {
 		batches = append(batches, b)
+	}
+	if opts.SortByLength {
+		slices.Reverse(batches)
 	}
 	return batches
 }

@@ -11,7 +11,10 @@ import (
 // search never materializes every batch at once: the §III-C
 // preprocessing happens incrementally, one batch ahead of the kernels.
 // Length-sorted mode sorts an index permutation of the database, not a
-// copy of the sequences, and streams batches from that sorted index.
+// copy of the sequences, groups that sorted index into batches, and
+// hands the groups out longest first: the batch that takes longest
+// starts first instead of running last while the other workers idle
+// (Graham's LPT rule).
 //
 // Next must be called from a single goroutine (the pipeline producer);
 // Recycle is safe to call concurrently from consumers, which lets the
@@ -22,15 +25,19 @@ type BatchStream struct {
 	order []int
 	alpha *alphabet.Alphabet
 	lanes int
-	pos   int
+	// groups is the stream's batch count and done how many it has
+	// produced; desc hands the groups out in reverse order.
+	groups, done int
+	desc         bool
 
 	mu   sync.Mutex
 	free []*Batch
 }
 
 // NewBatchStream prepares a stream over seqs. With SortByLength set it
-// sorts only an index permutation (stable, ascending length) and
-// streams batches in that order.
+// sorts only an index permutation (stable, ascending length), groups it
+// into batches in that order, and streams the groups longest first.
+// Unsorted streams keep database order.
 func NewBatchStream(seqs []Sequence, alpha *alphabet.Alphabet, opts BatchOptions) *BatchStream {
 	order := make([]int, len(seqs))
 	for i := range order {
@@ -45,27 +52,29 @@ func NewBatchStream(seqs []Sequence, alpha *alphabet.Alphabet, opts BatchOptions
 	if lanes <= 0 {
 		lanes = BatchLanes
 	}
-	return &BatchStream{seqs: seqs, order: order, alpha: alpha, lanes: lanes}
+	groups := (len(seqs) + lanes - 1) / lanes
+	return &BatchStream{seqs: seqs, order: order, alpha: alpha, lanes: lanes, groups: groups, desc: opts.SortByLength}
 }
 
 // Remaining returns the number of batches the stream has yet to
 // produce.
 func (s *BatchStream) Remaining() int {
-	return (len(s.order) - s.pos + s.lanes - 1) / s.lanes
+	return s.groups - s.done
 }
 
 // Next returns the next transposed batch, or nil when the database is
 // exhausted. The caller owns the batch until it passes it to Recycle.
 func (s *BatchStream) Next() *Batch {
-	if s.pos >= len(s.order) {
+	if s.done >= s.groups {
 		return nil
 	}
-	end := s.pos + s.lanes
-	if end > len(s.order) {
-		end = len(s.order)
+	g := s.done
+	if s.desc {
+		g = s.groups - 1 - g
 	}
-	members := s.order[s.pos:end]
-	s.pos = end
+	s.done++
+	start := g * s.lanes
+	members := s.order[start:min(start+s.lanes, len(s.order))]
 	b := s.take()
 	fillBatch(b, s.seqs, members, s.alpha, s.lanes)
 	return b

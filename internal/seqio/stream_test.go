@@ -15,6 +15,8 @@ func collectStream(s *BatchStream) []*Batch {
 	return out
 }
 
+// TestBatchStreamMatchesBuildBatches: the stream produces BuildBatches'
+// batches, in the same order unsorted and longest first when sorted.
 func TestBatchStreamMatchesBuildBatches(t *testing.T) {
 	alpha := alphabet.ProteinAlphabet()
 	g := NewGenerator(21)
@@ -27,9 +29,35 @@ func TestBatchStreamMatchesBuildBatches(t *testing.T) {
 			t.Fatalf("sorted=%v: %d batches, want %d", sorted, len(got), len(want))
 		}
 		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
+			w := want[i]
+			if sorted {
+				w = want[len(want)-1-i]
+			}
+			if !reflect.DeepEqual(got[i], w) {
 				t.Fatalf("sorted=%v: batch %d differs", sorted, i)
 			}
+		}
+	}
+}
+
+// TestSortedStreamLongestFirst: a length-sorted stream hands out its
+// batches by non-increasing MaxLen, starting with the partial group of
+// the longest sequences, while BuildBatches keeps ascending order.
+func TestSortedStreamLongestFirst(t *testing.T) {
+	alpha := alphabet.ProteinAlphabet()
+	db := NewGenerator(23).Database(BatchLanes*2 + 13)
+	opts := BatchOptions{SortByLength: true}
+	got := collectStream(NewBatchStream(db, alpha, opts))
+	built := BuildBatches(db, alpha, opts)
+	if len(got) != 3 || got[0].Count != 13 {
+		t.Fatalf("first of %d batches holds %d sequences, want the 13 longest", len(got), got[0].Count)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].MaxLen > got[i-1].MaxLen {
+			t.Fatalf("stream batch %d is longer than batch %d (%d > %d)", i, i-1, got[i].MaxLen, got[i-1].MaxLen)
+		}
+		if built[i].MaxLen < built[i-1].MaxLen {
+			t.Fatalf("BuildBatches batch %d is shorter than batch %d", i, i-1)
 		}
 	}
 }

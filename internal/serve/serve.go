@@ -192,7 +192,9 @@ func (s *Server) await(ctx context.Context, wg *sync.WaitGroup) bool {
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, min(64<<10, s.cfg.MaxBody)), s.cfg.MaxBody)
+	// Pings and most searches fit the first 4 KiB; the scanner grows the
+	// buffer up to MaxBody for longer lines.
+	sc.Buffer(make([]byte, min(4<<10, s.cfg.MaxBody)), s.cfg.MaxBody)
 	enc := json.NewEncoder(conn)
 	var mu sync.Mutex
 	var wg sync.WaitGroup

@@ -207,6 +207,32 @@ func TestBodyLimitDropsConnection(t *testing.T) {
 	}
 }
 
+// TestLineGrowsToBodyLimit: a connection's line buffer starts at 4 KiB
+// and grows up to MaxBody, so a search line past 4 KiB but within the
+// limit is admitted and answered, and one past the limit is refused
+// with too_large.
+func TestLineGrowsToBodyLimit(t *testing.T) {
+	leakcheck.Check(t)
+	b := newFake()
+	_, addr := startFake(t, b, Config{MaxConns: 1, MaxBody: 16 << 10})
+	long := fmt.Sprintf(`{"id":"long","residues":"%s"}`, strings.Repeat("ACDEFGHIKL", 1000))
+	if len(long) <= 4<<10 || len(long) > 16<<10 {
+		t.Fatalf("line of %d bytes does not sit between 4 KiB and MaxBody", len(long))
+	}
+	got := exchange(t, addr, long, strings.Repeat("x", 17<<10))
+	if got[0].ID != "long" || got[0].Error != "" {
+		t.Fatalf("long line answered %+v, want the backend's echo", got[0])
+	}
+	if got[1].Code != cluster.CodeTooLarge || got[1].Error != "request exceeds 16384-byte line limit" {
+		t.Fatalf("line past MaxBody answered %+v, want too_large", got[1])
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.admitted) != 1 {
+		t.Fatalf("backend admitted %v, want only the long search", b.admitted)
+	}
+}
+
 // TestShutdownOrder parks a reply inside the backend and shuts down:
 // the backend drains only after every reader has retired (no Admit
 // after Drain), the parked reply is still delivered, Shutdown returns,

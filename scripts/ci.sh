@@ -55,6 +55,10 @@ echo "== chaos (failpoint build, race) =="
 # panics, transient faults, and breaker trips, and assert quarantine
 # reporting plus zero goroutine leaks under the race detector.
 go test -race -short -tags failpoint ./...
+# The router's connection-pool tests (reuse, stale redial, cut
+# exchanges, teardown) race connection teardown against timers, so
+# they run three more times.
+go test -race -tags failpoint -count=3 -run 'TestPool' ./internal/cluster
 
 echo "== cluster e2e (3-shard chaos gate) =="
 # The full scatter-gather stack as it ships, both deployment shapes:

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"swvec/internal/aln"
 	"swvec/internal/alphabet"
@@ -344,7 +345,10 @@ func (a *Aligner) Score(query, target []byte) (int32, error) {
 	return res.Score, nil
 }
 
-// Align computes the optimal local alignment with full traceback.
+// Align computes the optimal local alignment with full traceback. The
+// traceback runs at 16 bits, so a pair whose score passes 32767 has no
+// exact trace: Align then returns an error that names the exact score,
+// never a clamped alignment.
 func (a *Aligner) Align(query, target []byte) (*Alignment, error) {
 	q, err := a.encode(query)
 	if err != nil {
@@ -357,6 +361,13 @@ func (a *Aligner) Align(query, target []byte) (*Alignment, error) {
 	res, tb, err := core.AlignPair16(vek.Bare, q, d, a.mat, core.PairOptions{Gaps: a.gaps, Traceback: true})
 	if err != nil {
 		return nil, err
+	}
+	if res.Saturated {
+		exact, err := core.AlignPair32(vek.Bare, q, d, a.mat, core.PairOptions{Gaps: a.gaps, Backend: core.BackendNative})
+		if err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("swvec: alignment score %d is past the 16-bit traceback limit of %d", exact.Score, math.MaxInt16)
 	}
 	return tb.Walk(res.EndQ, res.EndD, res.Score)
 }

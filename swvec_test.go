@@ -320,6 +320,31 @@ func TestScoreRescues16BitSaturation(t *testing.T) {
 	}
 }
 
+// TestAlignPast16Bits: Align's traceback runs at 16 bits, where the
+// 3000-residue tryptophan pair (exact score 33000) clamps. Align must
+// refuse it with an error naming the exact score and the limit, not
+// return a clamped alignment; a pair just under the limit still aligns.
+func TestAlignPast16Bits(t *testing.T) {
+	al, _ := New()
+	w := bytes.Repeat([]byte("W"), 3000)
+	a, err := al.Align(w, w)
+	if err == nil {
+		t.Fatalf("Align returned score %d and no error", a.Score)
+	}
+	for _, want := range []string{"33000", "32767"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+	a, err = al.Align(w[:2978], w[:2978])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Score != 32758 || a.BegQ != 0 || a.EndQ != 2977 {
+		t.Fatalf("alignment under the limit = score %d over [%d,%d], want 32758 over [0,2977]", a.Score, a.BegQ, a.EndQ)
+	}
+}
+
 func TestAlignerAccessors(t *testing.T) {
 	al, _ := New()
 	if al.Matrix() != Blosum62() {
